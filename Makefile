@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke
+.PHONY: all build test vet race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-test
 
 all: check
 
@@ -27,6 +27,14 @@ check: vet build test race metrics-smoke
 # the wall clock, so the binary exits before a shell could scrape it.)
 metrics-smoke:
 	$(GO) test -run TestMetricsEndpointSmoke -count=1 ./internal/harness
+
+# The session benchmark's own tests, offline: the percentile rule
+# (Python) and tracedrv's span accounting, query generator and
+# brute-force query filter (Go). perfbench is a nested module, so the
+# tier-1 ./... never reaches it.
+perfbench-test:
+	python3 -m unittest discover perfbench
+	cd perfbench && $(GO) test ./...
 
 # Full benchmark suite with allocation reporting.
 bench:
@@ -61,9 +69,10 @@ bench-compare:
 # Cross-version .rtrc compatibility suite (used by CI): v1 <-> v2 decoded
 # equivalence at codec and store level, the v2 crash-recovery truncation
 # sweep, v2 damage classification, indexed-query correctness against the
-# sequential reference, and the v1/v2 fuzz equivalence seeds.
+# sequential reference, the lazily admitted session reads over a mixed
+# v1 / v2 / footer-less store, and the v1/v2 fuzz equivalence seeds.
 fmt-compat:
-	$(GO) test -run 'TestFormatCompat|TestSegmentWriterFormatKnob|TestSegmentCrashRecovery|TestSalvage|TestFsck|TestQuerySession|FuzzV1V2Equivalence|FuzzV2Cursor' -count=1 ./internal/trace
+	$(GO) test -run 'TestFormatCompat|TestSegmentWriterFormatKnob|TestSegmentCrashRecovery|TestSalvage|TestFsck|TestQuerySession|TestSessionReads|FuzzV1V2Equivalence|FuzzV2Cursor' -count=1 ./internal/trace
 
 # Short coverage-guided fuzz passes (used by CI): the binary trace codec
 # (batch reader and streaming segment cursor), salvage over damaged

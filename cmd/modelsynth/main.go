@@ -104,7 +104,8 @@ func main() {
 		}
 		// Each session streams off disk straight into the incremental
 		// synthesis sink: segment records decode one at a time, the k-way
-		// merge holds one event per segment, and sched events fold online —
+		// merge holds one event per open segment (segments open in time
+		// order and close when exhausted), and sched events fold online —
 		// a multi-GB session synthesizes without ever materializing.
 		sink := core.NewSynthesizeSink()
 		var spanSink trace.SpanTracker
@@ -122,10 +123,10 @@ func main() {
 			if err != nil {
 				log.Fatalf("querying %s: %v", s, err)
 			}
-			log.Printf("session %s: %d/%d blocks read (%d skipped by index, %d footers rebuilt), %d records decoded, %d matched, %d decode workers",
+			log.Printf("session %s: %d/%d blocks read (%d skipped by index, %d footers rebuilt), %d records decoded, %d matched, %d decode workers, %d segment files open at most",
 				s, stats.BlocksRead, stats.BlocksTotal, stats.BlocksSkipped,
 				stats.FootersRebuilt, stats.RecordsDecoded, stats.RecordsMatched,
-				store.ResolveParallelism())
+				store.ResolveParallelism(), stats.PeakOpen)
 		} else if err := store.StreamSession(s, trace.MultiSink(sink, &spanSink)); err != nil {
 			log.Fatalf("loading %s: %v (re-run with -salvage to recover the undamaged prefix)", s, err)
 		}

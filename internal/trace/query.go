@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"github.com/tracesynth/rostracer/internal/sim"
@@ -81,6 +80,7 @@ func (cf *compiledFilter) blockOverlaps(bi *BlockInfo) bool {
 // proof that an indexed read skipped what the filter excluded.
 type QueryStats struct {
 	Segments       int // segment files opened
+	PeakOpen       int // most segment files open at once
 	Scans          int // segments read sequentially (v1, or WrapReader set)
 	BlocksTotal    int // v2 blocks listed by the indexes
 	BlocksRead     int // v2 blocks whose records were decoded
@@ -102,116 +102,127 @@ type QueryStats struct {
 // Damage fails the query exactly as it fails StreamSession; use
 // SalvageSession for degraded reads.
 //
+// Each v2 segment is opened to read its index and closed again; it
+// reopens only if a block was selected, when the merge reaches that
+// block's MinTime, and closes once exhausted, so a narrow window over a
+// long session holds one or two segment files open, not all of them
+// (QueryStats.PeakOpen).
+//
 // With Parallelism resolved above 1 the selected v2 blocks decode on a
 // worker pool: each segment cursor keeps a small window of outstanding
 // block reads, workers serve them with positioned reads (v2 blocks are
 // self-contained, so any block decodes without its predecessors), and
 // the cursor re-serves decoded blocks strictly in index order. Output,
 // errors, and QueryStats are identical to the sequential path.
-func (s *Store) QuerySession(session string, f Filter, sink Sink) (QueryStats, error) {
-	var qs QueryStats
+func (s *Store) QuerySession(session string, f Filter, sink Sink) (qs QueryStats, err error) {
 	cf := compileFilter(f)
-	names, err := s.segmentNames(session)
+	names, err := s.sessionSegments(session)
 	if err != nil {
 		return qs, err
 	}
-	if len(names) == 0 {
-		return qs, fmt.Errorf("trace: session %q has no segments", session)
-	}
-	var cursors []Cursor
-	var closers []io.Closer
+	// The next segment opens ahead of admission, so a parallel decode
+	// starts on its first blocks while the merge drains the one before.
+	// One at every parallelism, so QueryStats stay identical across them.
+	a := &admission{dir: s.dir, readAhead: 1}
 	var pool *blockPool
 	defer func() {
 		if pool != nil {
 			pool.stop()
 		}
-		for _, c := range closers {
-			c.Close()
-		}
+		a.closeAll()
+		qs.PeakOpen = a.peak
 	}()
 	parallelism := s.ResolveParallelism()
+	scan := func(f *os.File) (Cursor, func()) {
+		fc := s.cursorOn(f)
+		return &filterCursor{c: fc, f: &cf, qs: &qs}, func() { fc.Close() }
+	}
+	held := false
 	for _, name := range names {
-		path := filepath.Join(s.dir, name)
 		qs.Segments++
 		if s.WrapReader != nil {
-			file, err := os.Open(path)
-			if err != nil {
-				return qs, err
-			}
-			fc := NewFileCursor(s.WrapReader(name, file))
-			fc.c = file
-			fc.name = name
-			fc.strict = true
-			closers = append(closers, fc)
-			cursors = append(cursors, &filterCursor{c: fc, f: &cf, qs: &qs})
 			qs.Scans++
+			a.add(name, minSimTime, nil, scan)
 			continue
 		}
-		file, err := os.Open(path)
+		f, err := a.probe(name)
 		if err != nil {
 			return qs, err
 		}
-		var magic [len(binMagic)]byte
-		if _, err := file.ReadAt(magic[:], 0); err != nil {
-			file.Close()
-			return qs, fmt.Errorf("trace: segment %s: %w: reading magic: %w", name, ErrTruncated, err)
-		}
-		switch string(magic[:]) {
-		case binMagic:
-			// v1 has no index; filter over the sequential strict cursor.
-			if _, err := file.Seek(0, io.SeekStart); err != nil {
-				file.Close()
-				return qs, err
-			}
-			fc := NewFileCursor(file)
-			fc.c = file
-			fc.name = name
-			fc.strict = true
-			closers = append(closers, fc)
-			cursors = append(cursors, &filterCursor{c: fc, f: &cf, qs: &qs})
+		sel, v1, err := selectBlocks(f, name, &cf, &qs)
+		switch {
+		case err != nil:
+			a.drop(f)
+			return qs, err
+		case v1:
 			qs.Scans++
-		case binMagic2:
-			blocks, err := s.segmentBlockIndex(file, name, &qs)
-			if err != nil {
-				file.Close()
-				return qs, err
-			}
-			qs.BlocksTotal += len(blocks)
-			sel := blocks[:0:0]
-			for i := range blocks {
-				if cf.blockOverlaps(&blocks[i]) {
-					sel = append(sel, blocks[i])
-				}
-			}
-			qs.BlocksSkipped += len(blocks) - len(sel)
-			closers = append(closers, file)
-			if parallelism > 1 && len(sel) > 1 {
-				if pool == nil {
-					pool = newBlockPool(parallelism)
-				}
-				cursors = append(cursors, &parallelIndexedCursor{
-					f: file, name: name, blocks: sel, filter: &cf, qs: &qs,
-					pool: pool, window: parallelism,
-				})
-			} else {
-				cursors = append(cursors, &indexedCursor{f: file, name: name, blocks: sel, filter: &cf, qs: &qs})
-			}
+			a.add(name, minSimTime, f, scan)
+		case len(sel) == 0:
+			a.drop(f)
 		default:
-			file.Close()
-			return qs, fmt.Errorf("trace: segment %s: %w: %q", name, ErrBadMagic, magic)
+			// The first segment with a selected block keeps its file open:
+			// in a time-ordered store the merge opens it first, and a narrow
+			// window often needs no other.
+			if held {
+				a.drop(f)
+				f = nil
+			}
+			held = true
+			a.add(name, sel[0].MinTime, f, func(f *os.File) (Cursor, func()) {
+				release := func() { f.Close() }
+				if parallelism > 1 && len(sel) > 1 {
+					if pool == nil {
+						pool = newBlockPool(parallelism)
+					}
+					c := &parallelIndexedCursor{
+						f: f, name: name, blocks: sel, filter: &cf, qs: &qs,
+						pool: pool, window: parallelism,
+					}
+					c.fill()
+					return c, release
+				}
+				return &indexedCursor{f: f, name: name, blocks: sel, filter: &cf, qs: &qs}, release
+			})
 		}
 	}
-	if err := NewMergeStream(cursors...).Run(sink); err != nil {
-		return qs, err
+	err = a.run(sink)
+	return qs, err
+}
+
+// selectBlocks reads an open segment's block index and returns the v2
+// blocks the filter can match, in file order; none means the segment is
+// never read. v1 reports a segment with no index, to be scanned.
+func selectBlocks(file *os.File, name string, cf *compiledFilter, qs *QueryStats) (sel []BlockInfo, v1 bool, err error) {
+	var magic [len(binMagic)]byte
+	if _, err := file.ReadAt(magic[:], 0); err != nil {
+		return nil, false, fmt.Errorf("trace: segment %s: %w: reading magic: %w", name, ErrTruncated, err)
 	}
-	return qs, nil
+	switch string(magic[:]) {
+	case binMagic:
+		return nil, true, nil
+	case binMagic2:
+		blocks, err := segmentBlockIndex(file, name, qs)
+		if err != nil {
+			return nil, false, err
+		}
+		qs.BlocksTotal += len(blocks)
+		for i := range blocks {
+			if cf.blockOverlaps(&blocks[i]) {
+				sel = append(sel, blocks[i])
+			}
+		}
+		qs.BlocksSkipped += len(blocks) - len(sel)
+		return sel, false, nil
+	default:
+		return nil, false, fmt.Errorf("trace: segment %s: %w: %q", name, ErrBadMagic, magic)
+	}
 }
 
 // segmentBlockIndex loads a v2 segment's footer index via the EOF
 // trailer, or rebuilds it with one sequential scan when the footer is
 // missing (crashed writer: the segment ends cleanly at a block boundary
 // with no footer frame). Any other damage fails the query.
-func (s *Store) segmentBlockIndex(file *os.File, name string, qs *QueryStats) ([]BlockInfo, error) {
+func segmentBlockIndex(file *os.File, name string, qs *QueryStats) ([]BlockInfo, error) {
 	fi, err := file.Stat()
 	if err != nil {
 		return nil, err
@@ -493,6 +504,18 @@ type parallelIndexedCursor struct {
 	err     error
 }
 
+// fill submits block reads until window are outstanding. A segment
+// opened ahead of admission fills at once, so its first blocks decode
+// while the merge still drains the segment before it.
+func (c *parallelIndexedCursor) fill() {
+	for c.next < len(c.blocks) && len(c.pending) < c.window {
+		res := make(chan blockResult, 1)
+		c.pool.jobs <- &blockJob{f: c.f, info: c.blocks[c.next], filter: c.filter, res: res}
+		c.pending = append(c.pending, res)
+		c.next++
+	}
+}
+
 func (c *parallelIndexedCursor) fail(err error) (Event, bool, error) {
 	c.err = fmt.Errorf("trace: segment %s (%s): %w", c.name, FormatV2, err)
 	return Event{}, false, c.err
@@ -511,12 +534,7 @@ func (c *parallelIndexedCursor) Next() (Event, bool, error) {
 				return ev, true, nil
 			}
 		}
-		for c.next < len(c.blocks) && len(c.pending) < c.window {
-			res := make(chan blockResult, 1)
-			c.pool.jobs <- &blockJob{f: c.f, info: c.blocks[c.next], filter: c.filter, res: res}
-			c.pending = append(c.pending, res)
-			c.next++
-		}
+		c.fill()
 		if len(c.pending) == 0 {
 			return Event{}, false, nil
 		}

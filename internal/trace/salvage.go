@@ -183,75 +183,43 @@ func SalvageReader(r io.Reader, sink Sink) SegmentSalvage {
 	return sc.report("", -1)
 }
 
-// salvageCursors opens every segment of a session wrapped for salvage,
-// along with file sizes for drop accounting.
-func (s *Store) salvageCursors(session string) (curs []*SalvageCursor, files []*FileCursor, names []string, sizes []int64, err error) {
-	segs, err := s.segmentNames(session)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if len(segs) == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("trace: session %q has no segments", session)
-	}
-	for _, name := range segs {
-		path := filepath.Join(s.dir, name)
-		f, err := os.Open(path)
-		if err != nil {
-			for _, c := range files {
-				c.Close()
-			}
-			return nil, nil, nil, nil, err
-		}
-		size := int64(-1)
-		if fi, err := f.Stat(); err == nil {
-			size = fi.Size()
-		}
-		var r io.Reader = f
-		if s.WrapReader != nil {
-			r = s.WrapReader(name, f)
-		}
-		fc := NewFileCursor(r)
-		fc.c = f
-		fc.name = name
-		fc.strict = true
-		files = append(files, fc)
-		curs = append(curs, NewSalvageCursor(fc))
-		names = append(names, name)
-		sizes = append(sizes, size)
-	}
-	return curs, files, names, sizes, nil
-}
-
 // SalvageSession streams everything recoverable from a session into sink
 // — the degraded-mode counterpart of StreamSession. Each segment
 // contributes every complete record up to its damage point (if any) and
 // is then treated as exhausted, so the k-way merge completes even when
 // segments are truncated or corrupt. The report says, per segment, how
 // many events were recovered, how many bytes were dropped, and why.
+// Segments open lazily in time order, as in StreamSession, but a
+// segment's footer sets its admission bound only when its first block
+// agrees with it; any other segment opens when the merge starts.
 //
 // The merged stream stays (Time, Seq)-ordered: salvage drops only
 // suffixes of individually sorted segments, and a sorted prefix merges
 // like any other sorted stream. sink may be nil to scan without
 // consuming.
 func (s *Store) SalvageSession(session string, sink Sink) (*SalvageReport, error) {
-	curs, files, names, sizes, err := s.salvageCursors(session)
+	names, err := s.sessionSegments(session)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, c := range files {
-			c.Close()
-		}
-	}()
-	cursors := make([]Cursor, len(curs))
-	for i, c := range curs {
-		cursors[i] = c
+	a := &admission{dir: s.dir}
+	defer a.closeAll()
+	curs := make([]*SalvageCursor, len(names))
+	sizes := make([]int64, len(names))
+	for i, name := range names {
+		bound, f := s.footerBound(name, a, true)
+		a.add(name, bound, f, func(f *os.File) (Cursor, func()) {
+			fc := s.cursorOn(f)
+			curs[i], sizes[i] = NewSalvageCursor(fc), fileSize(f)
+			return curs[i], func() { fc.Close() }
+		})
 	}
 	if sink == nil {
 		sink = SinkFunc(func(Event) {})
 	}
-	// Salvage cursors never error, so Run cannot fail.
-	if err := NewMergeStream(cursors...).Run(sink); err != nil {
+	// Salvage cursors never error and their bounds are checked, so Run
+	// fails only to open a segment.
+	if err := a.run(sink); err != nil {
 		return nil, err
 	}
 	rep := &SalvageReport{Session: session}
@@ -259,6 +227,16 @@ func (s *Store) SalvageSession(session string, sink Sink) (*SalvageReport, error
 		rep.Segments = append(rep.Segments, c.report(names[i], sizes[i]))
 	}
 	return rep, nil
+}
+
+// fileSize reports f's size, or -1 when it cannot be read (bytes dropped
+// then stay 0).
+func fileSize(f *os.File) int64 {
+	fi, err := f.Stat()
+	if err != nil {
+		return -1
+	}
+	return fi.Size()
 }
 
 // FsckReport classifies damage across every session of a store.
@@ -298,20 +276,27 @@ func (s *Store) Fsck() (*FsckReport, error) {
 	rep := &FsckReport{}
 	for _, session := range sessions {
 		// Scanning per segment (not merged) keeps fsck independent of
-		// cross-segment ordering; each segment is judged on its own bytes.
-		curs, files, names, sizes, err := s.salvageCursors(session)
+		// cross-segment ordering; each segment is judged on its own bytes,
+		// with only that segment's file open.
+		names, err := s.sessionSegments(session)
 		if err != nil {
 			return nil, err
 		}
 		sr := SalvageReport{Session: session}
-		for i, c := range curs {
+		for _, name := range names {
+			f, err := os.Open(filepath.Join(s.dir, name))
+			if err != nil {
+				return nil, err
+			}
+			fc := s.cursorOn(f)
+			size, c := fileSize(f), NewSalvageCursor(fc)
 			for {
 				if _, ok, _ := c.Next(); !ok {
 					break
 				}
 			}
-			sr.Segments = append(sr.Segments, c.report(names[i], sizes[i]))
-			files[i].Close()
+			sr.Segments = append(sr.Segments, c.report(name, size))
+			fc.Close()
 		}
 		rep.Sessions = append(rep.Sessions, sr)
 	}

@@ -486,8 +486,8 @@ type FileCursor struct {
 }
 
 // NewFileCursor opens a cursor over a .rtrc stream. The magic header is
-// validated on the first Next. When r needs closing (a file), use
-// Store.SessionCursors, which hands ownership to the cursor.
+// validated on the first Next. Store's read paths open segment files
+// behind cursors that own them.
 func NewFileCursor(r io.Reader) *FileCursor {
 	return &FileCursor{br: bufio.NewReader(r)}
 }

@@ -292,8 +292,11 @@ func TestStreamSessionMissing(t *testing.T) {
 	if err := st.StreamSession("nope", &col); err == nil {
 		t.Fatal("missing session streamed")
 	}
-	if _, err := st.SessionCursors("nope"); err == nil {
-		t.Fatal("missing session opened")
+	if _, err := st.QuerySession("nope", Filter{}, &col); err == nil {
+		t.Fatal("missing session queried")
+	}
+	if _, err := st.SalvageSession("nope", nil); err == nil {
+		t.Fatal("missing session salvaged")
 	}
 }
 

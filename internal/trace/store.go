@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/tracesynth/rostracer/internal/sim"
 )
 
 // Store is the "trace database" of Fig. 2: a directory of trace segments
@@ -141,18 +143,12 @@ func (s *Store) SaveSegment(session string, segment int, t *Trace) error {
 // corrupt, so arbitrary record order round-trips (as it always has
 // through ReadBinary).
 func (s *Store) LoadSegment(session string, segment int) (*Trace, error) {
-	path := s.segPath(session, segment)
-	f, err := os.Open(path)
+	f, err := os.Open(s.segPath(session, segment))
 	if err != nil {
 		return nil, err
 	}
-	var r io.Reader = f
-	if s.WrapReader != nil {
-		r = s.WrapReader(filepath.Base(path), f)
-	}
-	fc := NewFileCursor(r)
-	fc.c = f
-	fc.name = filepath.Base(path)
+	fc := s.cursorOn(f)
+	fc.strict = false
 	defer fc.Close()
 	out := &Trace{}
 	for {
@@ -252,16 +248,24 @@ func (s *Store) segmentNames(session string) ([]string, error) {
 	return names, nil
 }
 
-// SessionCursors opens every segment of a session and returns one
-// FileCursor per segment, in segment order; decode errors name the
-// segment file they came from, and records out of (Time, Seq) order are
-// rejected (the merge cannot re-sort them). The caller owns the cursors
-// and must Close each one; StreamSession does this bookkeeping for the
-// common merge-into-a-sink case. Every segment file is open at once —
-// the single-pass k-way merge reads all heads simultaneously — so
-// sessions are bounded by the process fd limit at roughly one fd per
-// segment (a 1h run at the default 5s period is ~720).
-func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
+// cursorOn wraps an open segment file in a strict FileCursor that owns
+// it — reading through WrapReader when set. Decode errors name the
+// segment, and records out of (Time, Seq) order are rejected: a session
+// merge cannot re-sort.
+func (s *Store) cursorOn(f *os.File) *FileCursor {
+	name := filepath.Base(f.Name())
+	var r io.Reader = f
+	if s.WrapReader != nil {
+		r = s.WrapReader(name, f)
+	}
+	fc := NewFileCursor(r)
+	fc.c, fc.name, fc.strict = f, name, true
+	return fc
+}
+
+// sessionSegments lists a session's segment files in segment order and
+// fails when there are none.
+func (s *Store) sessionSegments(session string) ([]string, error) {
 	names, err := s.segmentNames(session)
 	if err != nil {
 		return nil, err
@@ -269,73 +273,100 @@ func (s *Store) SessionCursors(session string) ([]*FileCursor, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("trace: session %q has no segments", session)
 	}
-	curs := make([]*FileCursor, 0, len(names))
-	for _, name := range names {
-		f, err := os.Open(filepath.Join(s.dir, name))
-		if err != nil {
-			for _, c := range curs {
-				c.Close()
-			}
-			return nil, err
-		}
-		var r io.Reader = f
-		if s.WrapReader != nil {
-			r = s.WrapReader(name, f)
-		}
-		fc := NewFileCursor(r)
-		fc.c = f
-		fc.name = name
-		fc.strict = true
-		curs = append(curs, fc)
+	return names, nil
+}
+
+// footerBound returns a lower bound on the time of a segment's first
+// event: the first block's MinTime in its v2 footer index, read with the
+// file open only for the positioned reads of magic, trailer and footer.
+// Segments without a valid footer — v1, a crashed writer, damage — and
+// every segment of a WrapReader store get minSimTime: the merge opens
+// them at its start, and their strict read reports any damage exactly as
+// before. Such a segment's file stays open and is returned, tracked by
+// a, for the merge to read from the start. With verify (salvage, which
+// must not trust an index it has not checked) the bound stands only when
+// the first block decodes to exactly the footer's first entry.
+func (s *Store) footerBound(name string, a *admission, verify bool) (sim.Time, *os.File) {
+	if s.WrapReader != nil {
+		return minSimTime, nil
 	}
-	return curs, nil
+	f, err := a.probe(name)
+	if err != nil {
+		return minSimTime, nil // the open at admission reports it
+	}
+	if bound := v2Bound(f, verify); bound != minSimTime {
+		a.drop(f)
+		return bound, nil
+	}
+	return minSimTime, f
+}
+
+// v2Bound is footerBound's read of an open segment.
+func v2Bound(f *os.File, verify bool) sim.Time {
+	var magic [len(binMagic2)]byte
+	if _, err := f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != binMagic2 {
+		return minSimTime
+	}
+	size := fileSize(f) // -1 reads as no footer
+	blocks, ok, err := readFooterAt(f, size)
+	if err != nil || !ok || len(blocks) == 0 {
+		return minSimTime
+	}
+	if verify {
+		fc := NewFileCursor(io.NewSectionReader(f, 0, size))
+		if _, ok, err := fc.Next(); err != nil || !ok || len(fc.BlockIndex()) == 0 || fc.BlockIndex()[0] != blocks[0] {
+			return minSimTime
+		}
+	}
+	return blocks[0].MinTime
 }
 
 // StreamSession k-way merges all segments of a session into sink in
-// (Time, Seq) order. Records decode one at a time off each segment file
-// and the merge holds one event per segment cursor, so a session of any
-// size streams into a model builder (or any other sink) at O(segments)
-// peak memory. Segments must be internally (Time, Seq)-sorted — every
+// (Time, Seq) order. Records decode one at a time off each open segment
+// file and the merge holds one event per open segment; a v2 segment
+// opens only when the merge reaches its first block and closes once
+// exhausted (see admission), so a session of any size streams into a
+// model builder (or any other sink) with memory and open files bounded
+// by the segments whose time ranges overlap, not by the segment count.
+// Segments must be internally (Time, Seq)-sorted — every
 // tracer drain writes them so — since a stream cannot be re-sorted;
 // ties across segments resolve to the earlier segment, exactly as
 // LoadSession's historical Merge over materialized segments resolved
 // them to the earlier input trace.
 //
 // With Parallelism resolved above 1 (the default: GOMAXPROCS) and more
-// than one segment, each segment cursor runs behind a prefetching decode
-// goroutine (PrefetchCursor), so segment decode proceeds on all segments
-// concurrently while the merge consumes heads. The merge itself is
-// unchanged and ties still resolve to the earlier segment, so the output
-// stream is byte-identical to the sequential path.
+// than one segment, each open segment cursor runs behind a prefetching
+// decode goroutine (PrefetchCursor), and the next Parallelism segments
+// in time order open ahead of admission, so their decode proceeds while
+// the merge consumes heads. The merge itself is unchanged and ties still
+// resolve to the earlier segment, so the output stream is byte-identical
+// to the sequential path.
 func (s *Store) StreamSession(session string, sink Sink) error {
-	curs, err := s.SessionCursors(session)
+	names, err := s.sessionSegments(session)
 	if err != nil {
 		return err
 	}
-	var prefetch []*PrefetchCursor
-	defer func() {
-		// Prefetch goroutines reference the file cursors; stop them before
-		// closing the files underneath.
-		for _, pc := range prefetch {
-			pc.Close()
-		}
-		for _, c := range curs {
-			c.Close()
-		}
-	}()
-	cursors := make([]Cursor, len(curs))
-	if s.ResolveParallelism() > 1 && len(curs) > 1 {
-		prefetch = make([]*PrefetchCursor, len(curs))
-		for i, c := range curs {
-			prefetch[i] = NewPrefetchCursor(c)
-			cursors[i] = prefetch[i]
-		}
-	} else {
-		for i, c := range curs {
-			cursors[i] = c
-		}
+	a := &admission{dir: s.dir}
+	defer a.closeAll()
+	prefetch := s.ResolveParallelism() > 1 && len(names) > 1
+	if prefetch {
+		a.readAhead = s.ResolveParallelism()
 	}
-	return NewMergeStream(cursors...).Run(sink)
+	cursor := func(f *os.File) (Cursor, func()) {
+		fc := s.cursorOn(f)
+		if !prefetch {
+			return fc, func() { fc.Close() }
+		}
+		// The prefetch goroutine references the file cursor; stop it
+		// before closing the file underneath.
+		pc := NewPrefetchCursor(fc)
+		return pc, func() { pc.Close(); fc.Close() }
+	}
+	for _, name := range names {
+		bound, f := s.footerBound(name, a, false)
+		a.add(name, bound, f, cursor)
+	}
+	return a.run(sink)
 }
 
 // LoadSession merges all segments of a session into one sorted trace:
@@ -349,4 +380,158 @@ func (s *Store) LoadSession(session string) (*Trace, error) {
 		return nil, err
 	}
 	return &col.Trace, nil
+}
+
+// minSimTime bounds a segment whose first event time is unknown: the
+// merge admits it at its start.
+const minSimTime = sim.Time(-1 << 63)
+
+// segSource is one segment of a session merge.
+type segSource struct {
+	name   string
+	bound  sim.Time                        // no event of the segment precedes it
+	cursor func(*os.File) (Cursor, func()) // reads the open file; release closes both
+
+	cur     Cursor // non-nil while open
+	release func()
+}
+
+// admission feeds a MergeStream a session's segments lazily, so the
+// files open at once are the segments whose time ranges overlap, plus
+// read-ahead, however many segments the session has. Opening them all up
+// front capped a session at the process fd limit and, because Linux
+// grows a process's descriptor table at 64 and 256 open files (in a
+// multi-threaded process each growth waits out an RCU grace period),
+// cost tens of milliseconds per read of a 300-segment session.
+//
+// Before the merge emits a head at time T it admits every pending
+// segment whose bound is <= T — and, when the heap is empty, the next
+// one in bound order. No event of a pending segment precedes its bound,
+// so the merged stream is exactly the eager merge's: heap slots are
+// segment order, so (Time, Seq) ties still resolve to the earlier
+// segment. A segment whose first record does precede its bound has a
+// footer that disagrees with its data, and fails the read as
+// ErrBadFooter. Exhausted segments are released at once. Every open and
+// close happens on the merge thread.
+type admission struct {
+	dir       string      // the store directory
+	segs      []segSource // by slot: segment order
+	order     []int       // slots sorted by (bound, slot)
+	next      int         // order[next:] awaits admission
+	ahead     int         // order[next:ahead] opened ahead of admission
+	readAhead int         // how many segments to open ahead of admission
+
+	open, peak int // segment files open now, and at most
+}
+
+// add queues a segment. f, when not nil, is the segment's file, already
+// open from a probe: the segment then counts as opened ahead.
+func (a *admission) add(name string, bound sim.Time, f *os.File, cursor func(*os.File) (Cursor, func())) {
+	sg := segSource{name: name, bound: bound, cursor: cursor}
+	if f != nil {
+		sg.cur, sg.release = cursor(f)
+	}
+	a.segs = append(a.segs, sg)
+}
+
+// probe opens a segment file to read its index; the caller passes it
+// on to add or closes it with drop.
+func (a *admission) probe(name string) (*os.File, error) {
+	f, err := os.Open(filepath.Join(a.dir, name))
+	if err == nil {
+		a.track(1)
+	}
+	return f, err
+}
+
+func (a *admission) drop(f *os.File) {
+	f.Close()
+	a.track(-1)
+}
+
+// track counts segment files opened (delta 1) and closed (delta -1).
+func (a *admission) track(delta int) {
+	a.open += delta
+	a.peak = max(a.peak, a.open)
+}
+
+// run merges every added segment into sink. The caller must closeAll
+// afterwards, also on error.
+func (a *admission) run(sink Sink) error {
+	a.order = make([]int, len(a.segs))
+	for i := range a.order {
+		a.order[i] = i
+	}
+	sort.SliceStable(a.order, func(i, j int) bool {
+		return a.segs[a.order[i]].bound < a.segs[a.order[j]].bound
+	})
+	return (&MergeStream{curs: make([]Cursor, len(a.segs)), adm: a}).Run(sink)
+}
+
+// admit is MergeStream.Run's hook before each emission.
+func (a *admission) admit(m *MergeStream) error {
+	for a.next < len(a.order) {
+		slot := a.order[a.next]
+		sg := &a.segs[slot]
+		if len(m.heap) > 0 && sg.bound > m.heads[m.heap[0]].Time {
+			break
+		}
+		a.next++
+		if err := a.openSeg(sg); err != nil {
+			return err
+		}
+		ev, ok, err := sg.cur.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			a.release(slot)
+			continue
+		}
+		if ev.Time < sg.bound {
+			return fmt.Errorf("trace: segment %s (%s): %w: first record at %d precedes indexed block minimum %d",
+				sg.name, FormatV2, ErrBadFooter, ev.Time, sg.bound)
+		}
+		m.curs[slot] = sg.cur
+		m.push(slot, ev)
+	}
+	for a.ahead = max(a.ahead, a.next); a.ahead < len(a.order) && a.ahead < a.next+a.readAhead; a.ahead++ {
+		if err := a.openSeg(&a.segs[a.order[a.ahead]]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// openSeg opens sg unless it is open already (from a probe, or ahead
+// of admission).
+func (a *admission) openSeg(sg *segSource) error {
+	if sg.cur != nil {
+		return nil
+	}
+	f, err := os.Open(filepath.Join(a.dir, sg.name))
+	if err != nil {
+		return err
+	}
+	sg.cur, sg.release = sg.cursor(f)
+	a.track(1)
+	return nil
+}
+
+// release closes the segment in slot, if open.
+func (a *admission) release(slot int) {
+	sg := &a.segs[slot]
+	if sg.cur == nil {
+		return
+	}
+	sg.release()
+	sg.cur, sg.release = nil, nil
+	a.track(-1)
+}
+
+// closeAll releases every segment still open.
+func (a *admission) closeAll() {
+	for i := range a.segs {
+		a.release(i)
+	}
 }

@@ -156,6 +156,9 @@ type MergeStream struct {
 	curs  []Cursor
 	heads []Event // current head event per cursor
 	heap  []int   // cursor indexes, min-heap by (head Time, Seq, index)
+	// adm, when set, opens cursors lazily (session reads): its slots of
+	// curs start nil and fill as the merge reaches each segment's bound.
+	adm *admission
 }
 
 // NewMergeStream creates a merge over cursors. Nil cursors are skipped.
@@ -168,6 +171,7 @@ func NewMergeStream(curs ...Cursor) *MergeStream {
 // MergeStream and Resets it per segment allocates nothing at steady
 // state. Nil cursors are skipped. Returns m for chaining into Run.
 func (m *MergeStream) Reset(curs ...Cursor) *MergeStream {
+	m.adm = nil
 	m.curs = m.curs[:0]
 	for _, c := range curs {
 		if c != nil {
@@ -212,6 +216,21 @@ func (m *MergeStream) siftDown(i int) {
 	}
 }
 
+// push adds cursor i with head ev to the heap.
+func (m *MergeStream) push(i int, ev Event) {
+	m.heads[i] = ev
+	m.heap = append(m.heap, i)
+	h := m.heap
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !m.less(h[j], h[p]) {
+			return
+		}
+		h[j], h[p] = h[p], h[j]
+		j = p
+	}
+}
+
 // prime pulls the first event of every cursor and builds the heap.
 func (m *MergeStream) prime() error {
 	if cap(m.heads) < len(m.curs) {
@@ -222,6 +241,9 @@ func (m *MergeStream) prime() error {
 		m.heap = m.heap[:0]
 	}
 	for i, c := range m.curs {
+		if c == nil {
+			continue // a lazily admitted slot
+		}
 		ev, ok, err := c.Next()
 		if err != nil {
 			return err
@@ -244,7 +266,15 @@ func (m *MergeStream) Run(sink Sink) error {
 	if err := m.prime(); err != nil {
 		return err
 	}
-	for len(m.heap) > 0 {
+	for {
+		if m.adm != nil {
+			if err := m.adm.admit(m); err != nil {
+				return err
+			}
+		}
+		if len(m.heap) == 0 {
+			return nil
+		}
 		t := m.heap[0]
 		sink.Observe(m.heads[t])
 		ev, ok, err := m.curs[t].Next()
@@ -256,8 +286,11 @@ func (m *MergeStream) Run(sink Sink) error {
 		} else {
 			m.heap[0] = m.heap[len(m.heap)-1]
 			m.heap = m.heap[:len(m.heap)-1]
+			if m.adm != nil {
+				m.curs[t] = nil
+				m.adm.release(t)
+			}
 		}
 		m.siftDown(0)
 	}
-	return nil
 }
