@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-test
+.PHONY: all build test vet fmt-check race check bench bench-smoke bench-compare stream-bench fmt-compat fuzz-smoke chaos chaos-race baseline metrics-smoke perfbench-test
 
 all: check
 
@@ -13,12 +13,16 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Every Go file, the nested perfbench module included, is gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 # Race-detector pass over the library packages (the parallel harness and
 # the interned decode paths run under concurrency).
 race:
 	$(GO) test -race ./internal/...
 
-check: vet build test race metrics-smoke
+check: fmt-check vet build test race metrics-smoke
 
 # /metrics endpoint smoke: a live short session served over real HTTP and
 # scraped concurrently with the drive loop, asserting the Prometheus
@@ -76,8 +80,9 @@ fmt-compat:
 
 # Short coverage-guided fuzz passes (used by CI): the binary trace codec
 # (batch reader and streaming segment cursor), salvage over damaged
-# segments, and the tier-0 vs tier-1 decode equivalence of random
-# programs.
+# segments, the tier-0 vs tier-1 decode equivalence of random
+# programs, and the Algorithm-1 engine against the batch oracle at
+# random cut points of random event interleavings.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFileCursor -fuzztime 10s ./internal/trace
@@ -85,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzV2Cursor -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz 'FuzzV1V2Equivalence$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzTier1Equivalence -fuzztime 10s ./internal/ebpf
+	$(GO) test -run '^$$' -fuzz FuzzModelBuilderOracle -fuzztime 10s ./internal/core
 
 # Fault-injection chaos run: the full drain -> store -> synthesis
 # pipeline under a seeded fault plan (transport drops, forced ring

@@ -156,27 +156,6 @@ func BenchmarkAlg1_ExtractModel(b *testing.B) {
 	}
 }
 
-// BenchmarkAlg2_ExecTime measures the execution-time computation on a
-// preemption-heavy switch sequence.
-func BenchmarkAlg2_ExecTime(b *testing.B) {
-	var sched []trace.Event
-	for i := 0; i < 2000; i++ {
-		t := sim.Time(i * 1000)
-		prev, next := uint32(7), uint32(9)
-		if i%2 == 1 {
-			prev, next = 9, 7
-		}
-		sched = append(sched, trace.Event{Time: t, Seq: uint64(i), Kind: trace.KindSchedSwitch, PrevPID: prev, NextPID: next})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := core.ExecTime(500, 1999500, 0, 1<<62, 7, sched); got <= 0 {
-			b.Fatal("bad ET")
-		}
-	}
-}
-
 // BenchmarkDAG_Synthesize measures full DAG synthesis from a trace.
 func BenchmarkDAG_Synthesize(b *testing.B) {
 	tr := avpTrace(b, 20*sim.Second)

@@ -134,6 +134,9 @@ func main() {
 		inferredSpan += last.Sub(first)
 		dags = append(dags, sink.DAG())
 		log.Printf("session %s: %d events, %d decode workers", s, spanSink.Total(), store.ResolveParallelism())
+		if n := sink.OutOfOrder(); n > 0 {
+			log.Printf("WARNING: session %s: %d events reached synthesis out of (time, seq) order; the model may be wrong", s, n)
+		}
 	}
 	if len(dags) == 0 {
 		log.Fatal("no sessions found")

@@ -215,11 +215,12 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 		return false, false, err
 	}
 	if cfg.profilePath != "" {
+		// An unreadable profile (say, one a killed run left truncated)
+		// must not stop the session: warn and start cold.
 		applied, err := b.LoadProfiles(cfg.profilePath)
 		if err != nil {
-			return false, false, err
-		}
-		if applied > 0 {
+			log.Printf("  WARNING: %v; starting cold", err)
+		} else if applied > 0 {
 			tc := b.TierCounts()
 			log.Printf("  profile %s: seeded %d programs (tiers t0:%d t1:%d t2:%d)",
 				cfg.profilePath, applied, tc[0], tc[1], tc[2])
@@ -410,6 +411,10 @@ func traceOneRun(store *trace.Store, session string, build func(*rclcpp.World), 
 			log.Printf("  snapshot %d at t=%v: %d vertices / %d edges from %d events (%d sched folded)",
 				snap.Seq, sim.Duration(elapsed), len(snap.DAG.Vertices), len(snap.DAG.Edges()),
 				snap.Events, snap.FoldedSched)
+			if snap.OutOfOrder > 0 {
+				log.Printf("  WARNING: %d events reached synthesis out of (time, seq) order; the model may be wrong",
+					snap.OutOfOrder)
+			}
 			for nextSnapAt <= elapsed {
 				nextSnapAt += cfg.snapshotEvery
 			}

@@ -12,9 +12,35 @@ func sw(t sim.Time, prev, next uint32) trace.Event {
 	return trace.Event{Time: t, Kind: trace.KindSchedSwitch, PrevPID: prev, NextPID: next}
 }
 
+// measureET returns the execution time of a callback window [start, end]
+// on PID 7 under the given switches, after checking that the builder's
+// online fold agrees with the batch oracle's ExecTime. Switches sharing
+// a boundary timestamp count as inside the window.
+func measureET(t *testing.T, start, end sim.Time, sched []trace.Event) sim.Duration {
+	t.Helper()
+	want := ExecTime(start, end, 0, 1<<62, 7, sched)
+
+	tr := &trace.Trace{}
+	tr.Append(trace.Event{PID: 7, Kind: trace.KindCreateNode, Node: "n"},
+		trace.Event{Time: start, PID: 7, Kind: trace.KindTimerCBStart})
+	tr.Append(sched...)
+	tr.Append(trace.Event{Time: end, PID: 7, Kind: trace.KindTimerCBEnd})
+	for i := range tr.Events {
+		tr.Events[i].Seq = uint64(i)
+	}
+	m := ExtractModel(tr)
+	if len(m.Callbacks) != 1 || len(m.Callbacks[0].Instances) != 1 {
+		t.Fatalf("builder extracted %v, want one instance", m.Callbacks)
+	}
+	if got := m.Callbacks[0].Instances[0].ET; got != want {
+		t.Fatalf("builder ET = %v, oracle ExecTime = %v", got, want)
+	}
+	return want
+}
+
 func TestExecTimeNoPreemption(t *testing.T) {
 	// No switches inside the window: ET is the wall window.
-	if got := ExecTime(100, 600, 0, 1<<62, 7, nil); got != 500 {
+	if got := measureET(t, 100, 600, nil); got != 500 {
 		t.Fatalf("ET = %v, want 500", got)
 	}
 }
@@ -25,7 +51,7 @@ func TestExecTimeSinglePreemption(t *testing.T) {
 		sw(350, 9, 7), // resumed at 350
 	}
 	// Window [100, 600]: segments [100,200] + [350,600] = 100 + 250.
-	if got := ExecTime(100, 600, 0, 1<<62, 7, sched); got != 350 {
+	if got := measureET(t, 100, 600, sched); got != 350 {
 		t.Fatalf("ET = %v, want 350", got)
 	}
 }
@@ -39,7 +65,7 @@ func TestExecTimeMultiplePreemptions(t *testing.T) {
 		sw(70, 7, 1), // outside window [0,60]? No: 70 > 60, ignored
 	}
 	// [0,60]: [0,10]+[20,30]+[45,60] = 10+10+15 = 35.
-	if got := ExecTime(0, 60, 0, 1<<62, 7, sched); got != 35 {
+	if got := measureET(t, 0, 60, sched); got != 35 {
 		t.Fatalf("ET = %v, want 35", got)
 	}
 }
@@ -49,7 +75,7 @@ func TestExecTimeIgnoresEventsOutsideWindow(t *testing.T) {
 		sw(50, 7, 1), sw(80, 1, 7), // before window
 		sw(700, 7, 1), // after window
 	}
-	if got := ExecTime(100, 600, 0, 1<<62, 7, sched); got != 500 {
+	if got := measureET(t, 100, 600, sched); got != 500 {
 		t.Fatalf("ET = %v, want 500", got)
 	}
 }
@@ -59,7 +85,7 @@ func TestExecTimeIgnoresOtherThreads(t *testing.T) {
 		sw(200, 3, 4),
 		sw(300, 4, 3),
 	}
-	if got := ExecTime(100, 600, 0, 1<<62, 7, sched); got != 500 {
+	if got := measureET(t, 100, 600, sched); got != 500 {
 		t.Fatalf("ET = %v, want 500", got)
 	}
 }
@@ -71,7 +97,7 @@ func TestExecTimeBoundaryEventsExcluded(t *testing.T) {
 		sw(100, 1, 7), // switch-in exactly at start
 		sw(600, 7, 1), // switch-out exactly at end
 	}
-	if got := ExecTime(100, 600, 0, 1<<62, 7, sched); got != 500 {
+	if got := measureET(t, 100, 600, sched); got != 500 {
 		t.Fatalf("ET = %v, want 500", got)
 	}
 }
@@ -97,7 +123,7 @@ func TestExecTimeProperty(t *testing.T) {
 			preempted += backAt.Sub(outAt)
 			cursor = backAt
 		}
-		got := ExecTime(start, end, 0, 1<<62, 7, sched)
+		got := measureET(t, start, end, sched)
 		want := end.Sub(start) - preempted
 		return got == want && got <= end.Sub(start)
 	}

@@ -9,23 +9,22 @@ import (
 	"github.com/tracesynth/rostracer/internal/trace"
 )
 
-// snapEngine is the incremental form of buildModel: it folds the ROS
-// event stream delta by delta, keeping Algorithm 1's per-PID extraction
-// state machines, the caller/client search index, and per-callback
-// accumulators alive between snapshots. A snapshot then materializes a
-// Model from the accumulators in O(callbacks) instead of re-running the
-// extraction over the whole buffered stream, so snapshot cost is
-// proportional to the events observed since the previous snapshot, not
-// to session length.
+// snapEngine is the Algorithm 1 engine behind every ModelBuilder: it
+// folds the ROS event stream delta by delta, keeping the per-PID
+// extraction state machines, the caller/client search index, and
+// per-callback accumulators alive between folds, so a periodic snapshot
+// costs in proportion to the events observed since the previous one,
+// not to session length.
 //
-// Equivalence with the batch pipeline rests on which Algorithm 1
-// lookups are stable under stream growth:
+// A fold over any prefix of a stream yields the model a batch extraction
+// over exactly that prefix would (the batch test oracle pins this). That
+// rests on which Algorithm 1 lookups are stable under stream growth:
 //
 //   - findCaller is stable: a request's dds_write precedes its
 //     take_request in (Time, Seq) order (the write causes the take), so
 //     by the time the take is folded the index already holds the write,
 //     and positions only ever append — the first match never changes.
-//   - findClient is NOT stable: the take_response and
+//   - FindClient is NOT stable: the take_response and
 //     take_type_erased_response events that identify the dispatched
 //     client follow the response's dds_write in time, so the answer for
 //     an already-extracted write can change as the stream grows — from
@@ -38,24 +37,29 @@ import (
 //
 // All other attributes fold forward: merged callbacks accumulate stats,
 // instances, and refcounted out-topics; timer periods keep an exact
-// two-heap running median over inter-start gaps, matching the batch
-// sort's upper-median element for any length.
+// two-heap running median over inter-start gaps, matching
+// Callback.EstimatePeriod's upper-median element for any length.
 type snapEngine struct {
-	idx    *eventIndex // over the builder's ros buffer, grown in place
-	folded int         // prefix of idx.events already folded
+	ros    []trace.Event // the builder's ros buffer, all PIDs
+	folded int           // prefix of ros already folded
+
+	// writesBy maps (request topic, srcTS) to positions of dds_write
+	// events in ros; takeRespBy maps (response topic, srcTS) to positions
+	// of P13 events. Both only ever append.
+	writesBy, takeRespBy map[topicTS][]int
 
 	// tte holds take_type_erased_response positions per PID, the
-	// resumable form of findClient's inner forward scan: the outcome for
+	// resumable form of FindClient's forward scan: the outcome for
 	// a take at position p is decided by the first entry past p.
 	tte map[uint32][]ttePoint
 
 	nodeOf   map[uint32]string
 	machines map[uint32]*pidMachine
 
-	// et receives closed-window execution times from the ModelBuilder's
-	// log; entries are deleted as their callback-end events consume them.
-	et     map[etKey]sim.Duration
-	etSeen int
+	// et carries closed-window execution times from the ModelBuilder's
+	// log to the callback-end events that consume them. A fold leaves
+	// behind only the windows of PIDs no P1 event has named yet.
+	et map[etKey]sim.Duration
 
 	pending []*pendingClient
 }
@@ -67,15 +71,16 @@ type ttePoint struct {
 
 func newSnapEngine() *snapEngine {
 	return &snapEngine{
-		idx:      newEventIndex(nil),
-		tte:      make(map[uint32][]ttePoint),
-		nodeOf:   make(map[uint32]string),
-		machines: make(map[uint32]*pidMachine),
-		et:       make(map[etKey]sim.Duration),
+		writesBy:   make(map[topicTS][]int),
+		takeRespBy: make(map[topicTS][]int),
+		tte:        make(map[uint32][]ttePoint),
+		nodeOf:     make(map[uint32]string),
+		machines:   make(map[uint32]*pidMachine),
+		et:         make(map[etKey]sim.Duration),
 	}
 }
 
-// pidMachine is one PID's extractCallbacks loop, suspended between
+// pidMachine is one PID's Algorithm 1 traversal, suspended between
 // folds: the merged callback list, the diagnostics (some conditional on
 // a pending client resolution), and the currently open instance.
 type pidMachine struct {
@@ -87,15 +92,15 @@ type pidMachine struct {
 
 // diagSlot is one diagnostic position in a PID's extraction output. A
 // slot tied to a pending client lookup is visible only while that
-// lookup resolves to "no client", exactly when the batch extraction
-// would emit it.
+// lookup resolves to "no client", exactly when an extraction over the
+// stream so far would emit it.
 type diagSlot struct {
 	d    Diagnostic
 	pend *pendingClient
 }
 
-// curState mirrors the batch loop's cur/curStart/curStartSeq/curInst
-// locals for the instance currently open on a PID.
+// curState is the instance currently open on a PID (CB.* in the
+// paper).
 type curState struct {
 	cb       Callback // ID, Type, InTopic, IsSync accumulate here
 	outs     []outContrib
@@ -188,7 +193,7 @@ func (e *cbEntry) snapshotCallback(node string) *Callback {
 	return &cb
 }
 
-// pendingClient is one unresolved findClient lookup, created at a
+// pendingClient is one unresolved FindClient lookup, created at a
 // response dds_write and re-resolved against the grown index at every
 // snapshot until final.
 type pendingClient struct {
@@ -218,28 +223,33 @@ func (p *pendingClient) set(id uint64, final bool) {
 	}
 }
 
-// fold advances the engine over the builder's buffers: ros is the full
+// fold advances the engine over the builder's delta: ros is the
 // (Time, Seq)-sorted ROS event prefix observed so far and etLog the
-// closed-window log; both only ever grow. The delta is indexed first
-// and extracted second — the batch pipeline builds its index over the
-// whole stream before extracting, so a caller search from inside the
-// delta must already see writes later in the same delta.
+// windows closed at its callback-end events since the previous fold.
+// The delta is indexed first and extracted second, so a caller search
+// from inside the delta already sees writes later in the same delta.
 func (g *snapEngine) fold(ros []trace.Event, etLog []etEntry) {
-	for _, rec := range etLog[g.etSeen:] {
+	if len(g.et) == 0 && len(etLog) > 0 {
+		g.et = make(map[etKey]sim.Duration, len(etLog)) // sized: no rehash mid-fold
+	}
+	for _, rec := range etLog {
 		g.et[rec.key] = rec.et
 	}
-	g.etSeen = len(etLog)
 
-	g.idx.events = ros
+	g.ros = ros
 	for i := g.folded; i < len(ros); i++ {
-		e := ros[i]
+		e := &ros[i]
 		switch e.Kind {
 		case trace.KindDDSWrite:
-			k := topicTS{e.Topic, e.SrcTS}
-			g.idx.writesBy[k] = append(g.idx.writesBy[k], i)
+			// FindCaller looks up request writes only; indexing the
+			// plain-topic bulk would cost a map entry per message.
+			if dds.IsRequestTopic(e.Topic) {
+				k := topicTS{e.Topic, e.SrcTS}
+				g.writesBy[k] = append(g.writesBy[k], i)
+			}
 		case trace.KindTakeResponse:
 			k := topicTS{dds.ServiceResponseTopic(e.Topic), e.SrcTS}
-			g.idx.takeRespBy[k] = append(g.idx.takeRespBy[k], i)
+			g.takeRespBy[k] = append(g.takeRespBy[k], i)
 		case trace.KindTakeTypeErased:
 			g.tte[e.PID] = append(g.tte[e.PID], ttePoint{i, e.Ret})
 		case trace.KindCreateNode:
@@ -247,23 +257,43 @@ func (g *snapEngine) fold(ros []trace.Event, etLog []etEntry) {
 		}
 	}
 	for i := g.folded; i < len(ros); i++ {
-		g.machineFor(ros[i].PID).step(g, ros[i])
+		if m := g.machineFor(ros[i].PID); m != nil {
+			m.step(g, &ros[i])
+		}
 	}
 	g.folded = len(ros)
+	// Windows a named PID's machine left belonged to instances P14
+	// discarded; those of PIDs not yet named wait for a replay.
+	for _, rec := range etLog {
+		if g.machines[rec.key.pid] != nil {
+			delete(g.et, rec.key)
+		}
+	}
 }
 
+// machineFor returns pid's extraction machine, or nil while no P1 event
+// has named pid's node: Algorithm 1 models initialized nodes only. A PID
+// named after some of its events were folded first replays them, which
+// yields what stepping them in their own fold would have.
 func (g *snapEngine) machineFor(pid uint32) *pidMachine {
 	m := g.machines[pid]
 	if m == nil {
+		if _, ok := g.nodeOf[pid]; !ok {
+			return nil
+		}
 		m = &pidMachine{pid: pid}
 		g.machines[pid] = m
+		for i := range g.ros[:g.folded] {
+			if e := &g.ros[i]; e.PID == pid {
+				m.step(g, e)
+			}
+		}
 	}
 	return m
 }
 
 // takeET consumes one closed window's execution time. Each window is
-// read exactly once (its callback-end event), so the entry is deleted
-// to keep the transfer map at O(open + unconsumed) instead of O(all).
+// read exactly once (its callback-end event), so the entry is deleted.
 func (g *snapEngine) takeET(pid uint32, startSeq uint64) sim.Duration {
 	k := etKey{pid, startSeq}
 	d := g.et[k]
@@ -271,8 +301,34 @@ func (g *snapEngine) takeET(pid uint32, startSeq uint64) sim.Duration {
 	return d
 }
 
+// findCaller implements Algorithm 1's FindCaller: locate the dds_write of
+// the request (same topic and source timestamp), then walk that PID's
+// events backwards to the ID-bearing event (timer call or take) after the
+// caller's last callback start.
+func (g *snapEngine) findCaller(reqTopic string, srcTS int64) uint64 {
+	positions := g.writesBy[topicTS{reqTopic, srcTS}]
+	if len(positions) == 0 {
+		return 0
+	}
+	pos := positions[0]
+	writerPID := g.ros[pos].PID
+	for j := pos - 1; j >= 0; j-- {
+		e := g.ros[j]
+		if e.PID != writerPID {
+			continue
+		}
+		if e.Kind.IsCBStart() {
+			return 0 // reached the caller's CB start without an ID event
+		}
+		if e.Kind == trace.KindTimerCall || e.Kind.IsTake() {
+			return e.CBID
+		}
+	}
+	return 0
+}
+
 // tteAfter finds the first take_type_erased_response of pid past pos —
-// findClient's inner scan as a binary search over the per-PID position
+// FindClient's forward scan as a binary search over the per-PID position
 // list. ok is false while no such event has been observed yet.
 func (g *snapEngine) tteAfter(pid uint32, pos int) (ttePoint, bool) {
 	list := g.tte[pid]
@@ -283,19 +339,20 @@ func (g *snapEngine) tteAfter(pid uint32, pos int) (ttePoint, bool) {
 	return list[i], true
 }
 
-// resolve recomputes a pending client lookup against the current index,
-// replicating findClient: walk the matching take_response events in
-// stream order; the first whose next type-erased take returned 1 names
-// the client; a take whose next type-erased take returned 0 is skipped
-// for good; a take with no type-erased take yet is skipped for now. The
+// resolve recomputes a pending client lookup against the current index —
+// Algorithm 1's FindClient: among the take_response events matching the
+// response write, in stream order, the first whose next
+// take_type_erased_response (same PID) returned 1 names the dispatched
+// client; a take whose next type-erased take returned 0 is skipped for
+// good; a take with no type-erased take yet is skipped for now. The
 // answer is final only when a client was found and every earlier take
 // was definitively skipped — otherwise later events could change it,
 // exactly as a batch re-run over the longer stream could.
 func (g *snapEngine) resolve(p *pendingClient) {
-	positions := g.idx.takeRespBy[topicTS{p.topic, p.srcTS}]
+	positions := g.takeRespBy[topicTS{p.topic, p.srcTS}]
 	definitive := true
 	for _, pos := range positions {
-		take := g.idx.events[pos]
+		take := g.ros[pos]
 		tte, ok := g.tteAfter(take.PID, pos)
 		if !ok {
 			definitive = false
@@ -326,11 +383,11 @@ func (g *snapEngine) resolvePending() {
 	g.pending = live
 }
 
-// step folds one ROS event into the PID's extraction machine. The case
-// structure and diagnostics mirror extractCallbacks exactly; the only
-// differences are that out-topic decoration for responses goes through
-// a pendingClient, and execution times come from the online fold.
-func (m *pidMachine) step(g *snapEngine, e trace.Event) {
+// step folds one ROS event into the PID's extraction machine — one
+// iteration of Algorithm 1's traversal. Out-topic decoration for
+// responses goes through a pendingClient, and execution times come from
+// the builder's online Algorithm 2 fold.
+func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 	switch {
 	case e.Kind.IsCBStart(): // P2 / P5 / P9 / P12
 		if m.cur != nil {
@@ -365,7 +422,7 @@ func (m *pidMachine) step(g *snapEngine, e trace.Event) {
 			cur.inst.TakeTopic = respTopic
 		case trace.KindTakeRequest:
 			reqTopic := dds.ServiceRequestTopic(e.Topic)
-			caller := g.idx.findCaller(reqTopic, e.SrcTS)
+			caller := g.findCaller(reqTopic, e.SrcTS)
 			if caller == 0 {
 				m.diags = append(m.diags, diagSlot{d: Diagnostic{m.pid, e.Time,
 					fmt.Sprintf("no caller found for request on %s srcTS=%d", reqTopic, e.SrcTS)}})
@@ -417,11 +474,11 @@ func (m *pidMachine) step(g *snapEngine, e trace.Event) {
 	}
 }
 
-// merge folds a completed instance into the machine's CBlist, with
-// addToList's matching rule: same ID, and for service entries also the
-// same (caller-decorated) in-topic. Both sides of the comparison are
-// stable under stream growth (caller decoration rests on findCaller),
-// so merge decisions never need revisiting.
+// merge folds a completed instance into the machine's CBlist: it joins
+// the entry with the same ID, and for service entries also the same
+// (caller-decorated) in-topic. Both sides of the comparison are stable
+// under stream growth (caller decoration rests on findCaller), so merge
+// decisions never need revisiting.
 func (m *pidMachine) merge(cur *curState) {
 	for _, e := range m.list {
 		if e.cb.ID != cur.cb.ID {
@@ -455,9 +512,9 @@ func (m *pidMachine) merge(cur *curState) {
 }
 
 // materialize assembles a Model from the accumulators: fresh Callback
-// headers over clamp-shared slices, node-sorted like buildModel, with
-// diagnostics filtered by current pending resolutions and an open
-// instance reported as truncated. The returned periodOf closes over the
+// headers over clamp-shared slices in PID order, with diagnostics
+// filtered by current pending resolutions and an open instance
+// reported as truncated. The returned periodOf closes over the
 // entries' running medians for buildDAG.
 func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
 	m := &Model{NodeOf: make(map[uint32]string, len(g.nodeOf))}

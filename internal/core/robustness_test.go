@@ -107,6 +107,7 @@ func TestPerfBufferOverrunDegradesGracefully(t *testing.T) {
 	cut.Events = append(cut.Events[:n/2:n/2], cut.Events[n/2+200:]...)
 
 	m := core.ExtractModel(cut)
+	core.RequireSameModel(t, m, core.OracleExtractModel(cut))
 	if len(m.Callbacks) == 0 {
 		t.Fatal("no callbacks extracted from damaged trace")
 	}
@@ -144,6 +145,7 @@ func TestStrayEventsIgnored(t *testing.T) {
 		trace.Event{Time: 25, Seq: 7, PID: 5, Kind: trace.KindSubCBEnd},
 	)
 	m := core.ExtractModel(tr)
+	core.RequireSameModel(t, m, core.OracleExtractModel(tr))
 	if len(m.Callbacks) != 1 {
 		t.Fatalf("callbacks = %v", m.Callbacks)
 	}
@@ -167,6 +169,7 @@ func TestDoubleStartDiagnosed(t *testing.T) {
 		trace.Event{Time: 35, Seq: 5, PID: 5, Kind: trace.KindSubCBEnd},
 	)
 	m := core.ExtractModel(tr)
+	core.RequireSameModel(t, m, core.OracleExtractModel(tr))
 	if len(m.Diags) == 0 {
 		t.Fatal("double start not diagnosed")
 	}
@@ -206,6 +209,9 @@ func TestLostRecordsWithTinyPerfBuffers(t *testing.T) {
 		t.Fatalf("lost %d records with unbounded buffers", b.Lost())
 	}
 	d := core.Synthesize(tr)
+	if got, want := core.ToDOT(d, "syn"), core.ToDOT(core.OracleSynthesize(tr), "syn"); got != want {
+		t.Fatalf("DOT differs from the batch oracle:\n%s\n---\n%s", got, want)
+	}
 	if len(d.Vertices) != apps.SYNExpectedVertices {
 		t.Fatalf("vertices = %d", len(d.Vertices))
 	}

@@ -11,22 +11,21 @@ import (
 // batch) while periodic Snapshot calls hand out the current model and
 // DAG.
 //
-// Synthesis is incremental: a snapEngine folds only the events observed
-// since the previous snapshot into persistent model and DAG delta state
-// (extraction machines, search index, per-callback accumulators), so
-// Snapshot cost is proportional to the delta, not to session length.
-// Model building also runs off the observation lock — Observe holds mu
-// for one event fold; Snapshot holds it just long enough to capture the
-// builder's append-only buffers, then indexes, extracts, and builds the
+// Synthesis is incremental: the builder's engine folds only the events
+// observed since the previous snapshot into persistent model and DAG
+// delta state (extraction machines, search index, per-callback
+// accumulators), so Snapshot cost is proportional to the delta, not to
+// session length. The fold also runs off the observation lock — Observe
+// holds mu for one event fold; Snapshot holds it just long enough to
+// capture the builder's delta, then folds, materializes and builds the
 // DAG under its own serialization lock while observation continues.
 type SnapshotService struct {
-	mu  sync.Mutex // guards b and obs: the whole Observe footprint
+	mu  sync.Mutex // guards obs and b's observation state
 	b   *ModelBuilder
 	obs uint64 // total events observed, ROS + sched
 
-	synthMu sync.Mutex // serializes snapshots; guards seq and eng
+	synthMu sync.Mutex // serializes snapshots; guards seq and b's engine
 	seq     int
-	eng     *snapEngine
 }
 
 // Snapshot is one point-in-time synthesis of the stream so far. Counters
@@ -37,13 +36,14 @@ type Snapshot struct {
 	Events      uint64 // events observed when the snapshot was taken
 	FoldedSched uint64 // sched events folded online (never retained)
 	BufferedROS int    // ROS events the builder holds
+	OutOfOrder  uint64 // events that arrived below the (Time, Seq) order
 	Model       *Model
 	DAG         *DAG
 }
 
 // NewSnapshotService returns a service over an empty builder.
 func NewSnapshotService() *SnapshotService {
-	return &SnapshotService{b: NewModelBuilder(), eng: newSnapEngine()}
+	return &SnapshotService{b: NewModelBuilder()}
 }
 
 // Observe implements trace.Sink. Safe for concurrent use; events must
@@ -80,27 +80,24 @@ func (s *SnapshotService) EventsObserved() uint64 {
 
 // Snapshot synthesizes the model and DAG from everything observed so
 // far, folding only the delta since the previous snapshot. Observation
-// is blocked only for the buffer capture — the builder's ros and
-// closed-window buffers are append-only, so their captured prefixes
-// stay immutable while the fold and DAG build run outside the lock.
+// is blocked only for the delta capture.
 func (s *SnapshotService) Snapshot() Snapshot {
 	s.synthMu.Lock()
 	defer s.synthMu.Unlock()
 	s.seq++
 
 	s.mu.Lock()
-	ros, etLog := s.b.ros, s.b.etLog
-	obs, sched := s.obs, s.b.sched
+	ros, etLog := s.b.take()
+	obs, sched, ooo := s.obs, s.b.sched, s.b.ooo
 	s.mu.Unlock()
 
-	s.eng.fold(ros, etLog)
-	s.eng.resolvePending()
-	m, periodOf := s.eng.materialize()
+	m, periodOf := s.b.fold(ros, etLog)
 	return Snapshot{
 		Seq:         s.seq,
 		Events:      obs,
 		FoldedSched: sched,
 		BufferedROS: len(ros),
+		OutOfOrder:  ooo,
 		Model:       m,
 		DAG:         buildDAG(m, periodOf),
 	}

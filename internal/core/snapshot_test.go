@@ -67,7 +67,7 @@ func TestSnapshotServiceMatchesBatch(t *testing.T) {
 	seen = append(seen, final)
 
 	tr := run(nil, false)
-	want := core.BuildDAG(core.ExtractModel(tr))
+	want := core.OracleSynthesize(tr)
 
 	if got, wantTxt := core.Summary(final.DAG), core.Summary(want); got != wantTxt {
 		t.Fatalf("final snapshot summary differs from batch:\n--- snapshot ---\n%s--- batch ---\n%s", got, wantTxt)

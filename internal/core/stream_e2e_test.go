@@ -14,7 +14,7 @@ import (
 // streamedAndBatchModels runs two identical traced sessions and
 // synthesizes one through the streaming pipeline (StreamTo into a
 // ModelBuilder, no materialized trace) and one through the batch
-// pipeline (Drain then ExtractModel).
+// pipeline (Drain then the batch oracle).
 func streamedAndBatchModels(t *testing.T, cpus int, seed uint64,
 	build func(*rclcpp.World)) (streamed, batch *core.Model) {
 	t.Helper()
@@ -48,7 +48,7 @@ func streamedAndBatchModels(t *testing.T, cpus int, seed uint64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch = core.ExtractModel(tr)
+	batch = core.OracleExtractModel(tr)
 	return streamed, batch
 }
 

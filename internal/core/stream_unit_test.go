@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/sim"
@@ -39,10 +40,10 @@ func requireSameModel(t *testing.T, got, want *Model) {
 }
 
 // TestModelBuilderMatchesExtractModelSimple pins the streaming builder
-// to the batch extraction on the hand-written producer/consumer trace.
+// to the batch oracle on the hand-written producer/consumer trace.
 func TestModelBuilderMatchesExtractModelSimple(t *testing.T) {
 	tr := buildTrace()
-	requireSameModel(t, streamModel(tr), ExtractModel(tr))
+	requireSameModel(t, streamModel(tr), oracleExtractModel(tr))
 }
 
 // TestModelBuilderBoundarySwitches exercises the (Time, Seq) window
@@ -74,7 +75,7 @@ func TestModelBuilderBoundarySwitches(t *testing.T) {
 	// Switch at the end timestamp emitted after the end probe: ignored.
 	add(trace.Event{Time: 200, Kind: trace.KindSchedSwitch, PrevPID: 7, NextPID: 1})
 
-	got, want := streamModel(tr), ExtractModel(tr)
+	got, want := streamModel(tr), oracleExtractModel(tr)
 	requireSameModel(t, got, want)
 	if len(want.Callbacks) != 1 || len(want.Callbacks[0].Instances) != 1 {
 		t.Fatalf("unexpected extraction shape: %+v", want.Callbacks)
@@ -86,59 +87,18 @@ func TestModelBuilderBoundarySwitches(t *testing.T) {
 }
 
 // TestModelBuilderRandomInterleavings is the extraction-level property
-// test: random sorted interleavings of callback windows and switches
-// over several PIDs produce byte-identical models through both paths.
+// test: random sorted interleavings of callback windows, ROS events and
+// switches over several PIDs produce byte-identical models through the
+// builder and the batch oracle — at three random mid-stream Finish
+// calls as well as at the end, so pending lookups that resolve only
+// after a fold are covered.
 func TestModelBuilderRandomInterleavings(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
+	for seed := uint64(1); seed <= 300; seed++ {
 		r := sim.NewRNG(seed)
-		tr := &trace.Trace{}
-		seq := uint64(0)
-		add := func(e trace.Event) {
-			e.Seq = seq
-			seq++
-			tr.Append(e)
-		}
-		pids := []uint32{7, 8, 9}
-		for i, pid := range pids {
-			add(trace.Event{Time: 0, PID: pid, Kind: trace.KindCreateNode,
-				Node: string(rune('a' + i))})
-		}
-		now := sim.Time(10)
-		inWindow := map[uint32]bool{}
-		for step := 0; step < 400; step++ {
-			if r.Intn(3) > 0 {
-				now += sim.Time(r.Intn(40))
-			}
-			pid := pids[r.Intn(len(pids))]
-			switch r.Intn(4) {
-			case 0: // toggle a window
-				if inWindow[pid] {
-					add(trace.Event{Time: now, PID: pid, Kind: trace.KindTimerCBEnd})
-					inWindow[pid] = false
-				} else {
-					add(trace.Event{Time: now, PID: pid, Kind: trace.KindTimerCBStart})
-					add(trace.Event{Time: now, PID: pid, Kind: trace.KindTimerCall,
-						CBID: uint64(pid)})
-					inWindow[pid] = true
-				}
-			case 1: // switch away to an uninvolved thread
-				add(trace.Event{Time: now, Kind: trace.KindSchedSwitch,
-					PrevPID: pid, NextPID: 1})
-			case 2: // switch back from an uninvolved thread
-				add(trace.Event{Time: now, Kind: trace.KindSchedSwitch,
-					PrevPID: 1, NextPID: pid})
-			case 3: // direct handoff between two traced threads
-				other := pids[r.Intn(len(pids))]
-				add(trace.Event{Time: now, Kind: trace.KindSchedSwitch,
-					PrevPID: pid, NextPID: other})
-			}
-		}
-		for _, pid := range pids {
-			if inWindow[pid] {
-				add(trace.Event{Time: now + 5, PID: pid, Kind: trace.KindTimerCBEnd})
-			}
-		}
-		requireSameModel(t, streamModel(tr), ExtractModel(tr))
+		tr := randomInterleaving(r.Intn, 300)
+		cuts := []int{r.Intn(tr.Len()), r.Intn(tr.Len()), r.Intn(tr.Len())}
+		slices.Sort(cuts)
+		requireOracleAtCuts(t, tr, cuts)
 	}
 }
 
@@ -156,5 +116,85 @@ func TestModelBuilderFoldsSchedEvents(t *testing.T) {
 	}
 	if mb.SchedEventsFolded() != 1000 {
 		t.Fatalf("folded %d sched events, want 1000", mb.SchedEventsFolded())
+	}
+}
+
+// TestModelBuilderCountsOutOfOrder checks the runtime order check: a
+// sorted stream counts nothing, and swapping one adjacent pair counts
+// exactly the one event that arrived below its predecessor — through
+// the builder and through a snapshot — and ExtractModel still sorts.
+func TestModelBuilderCountsOutOfOrder(t *testing.T) {
+	tr := buildTrace()
+	sorted := NewModelBuilder()
+	for _, e := range tr.Events {
+		sorted.Observe(e)
+	}
+	if n := sorted.OutOfOrder(); n != 0 {
+		t.Fatalf("sorted stream: OutOfOrder = %d, want 0", n)
+	}
+	evs := append([]trace.Event(nil), tr.Events...)
+	i := len(evs) / 2
+	evs[i], evs[i+1] = evs[i+1], evs[i]
+	b := NewModelBuilder()
+	svc := NewSnapshotService()
+	for _, e := range evs {
+		b.Observe(e)
+		svc.Observe(e)
+	}
+	if n := b.OutOfOrder(); n != 1 {
+		t.Fatalf("one swapped pair: OutOfOrder = %d, want 1", n)
+	}
+	if n := svc.Snapshot().OutOfOrder; n != 1 {
+		t.Fatalf("one swapped pair: Snapshot.OutOfOrder = %d, want 1", n)
+	}
+	// ExtractModel re-streams an out-of-order trace from a sorted clone.
+	requireSameModel(t, ExtractModel(&trace.Trace{Events: evs}), oracleExtractModel(tr))
+}
+
+// TestModelBuilderStateBounded checks the builder's memory contract:
+// once every callback window has closed, Finish leaves the closed-window
+// log and the engine's exec-time transfer map empty — including windows
+// of non-dispatched client instances, which no callback consumes — so
+// apart from the ROS buffer no builder state grows with the number of
+// callback instances observed.
+func TestModelBuilderStateBounded(t *testing.T) {
+	b := NewModelBuilder()
+	seq := uint64(0)
+	add := func(e trace.Event) {
+		e.Seq = seq
+		seq++
+		b.Observe(e)
+	}
+	add(trace.Event{PID: 10, Kind: trace.KindCreateNode, Node: "caller"})
+	add(trace.Event{PID: 20, Kind: trace.KindCreateNode, Node: "server"})
+	add(trace.Event{PID: 30, Kind: trace.KindCreateNode, Node: "client"})
+	for round := 1; round <= 4; round++ {
+		for i := 0; i < 50*round; i++ {
+			base := sim.Time(int(seq) * 100)
+			ts := int64(base)
+			add(trace.Event{Time: base, PID: 10, Kind: trace.KindTimerCBStart})
+			add(trace.Event{Time: base, PID: 10, Kind: trace.KindTimerCall, CBID: 0xA})
+			add(trace.Event{Time: base + 1, PID: 10, Kind: trace.KindDDSWrite, Topic: "rq/svRequest", SrcTS: ts})
+			add(trace.Event{Time: base + 2, Kind: trace.KindSchedSwitch, PrevPID: 10, NextPID: 20})
+			add(trace.Event{Time: base + 3, PID: 10, Kind: trace.KindTimerCBEnd})
+			add(trace.Event{Time: base + 4, PID: 20, Kind: trace.KindServiceCBStart})
+			add(trace.Event{Time: base + 4, PID: 20, Kind: trace.KindTakeRequest, CBID: 0xB, Topic: "sv", SrcTS: ts})
+			add(trace.Event{Time: base + 5, PID: 20, Kind: trace.KindDDSWrite, Topic: "rr/svReply", SrcTS: ts + 5})
+			add(trace.Event{Time: base + 6, PID: 20, Kind: trace.KindServiceCBEnd})
+			// The response reaches a client it does not belong to (P14
+			// returns 0): the window closes, but no instance consumes it.
+			add(trace.Event{Time: base + 7, PID: 30, Kind: trace.KindClientCBStart})
+			add(trace.Event{Time: base + 7, PID: 30, Kind: trace.KindTakeResponse, CBID: 0xC, Topic: "sv", SrcTS: ts + 5})
+			add(trace.Event{Time: base + 8, PID: 30, Kind: trace.KindTakeTypeErased, Ret: 0})
+			add(trace.Event{Time: base + 8, PID: 30, Kind: trace.KindClientCBEnd})
+		}
+		m := b.Finish()
+		if len(m.Callbacks) != 2 || m.Callbacks[0].Stats.Count != 50*round*(round+1)/2 {
+			t.Fatalf("round %d: unexpected model %v", round, m.Callbacks)
+		}
+		if len(b.open) != 0 || len(b.etLog) != 0 || len(b.eng.et) != 0 {
+			t.Fatalf("round %d: %d open windows, %d logged windows, %d transfer entries after Finish; want 0",
+				round, len(b.open), len(b.etLog), len(b.eng.et))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"github.com/tracesynth/rostracer/internal/ebpf"
@@ -86,25 +87,49 @@ func (b *Bundle) TierCounts() [3]int {
 	return counts
 }
 
-// SaveProfiles writes the bundle's warmup profiles to path. The file is
-// written whole; a failed write removes the partial file rather than
-// leaving a truncated profile looking complete.
+// SaveProfiles writes the bundle's warmup profiles to path. The new
+// profile is written and fsynced to a temporary file in the same
+// directory, then renamed over path: a crash or a failed write at any
+// instant leaves either the previous profile or the new one, never a
+// truncated file.
 func (b *Bundle) SaveProfiles(path string) (retErr error) {
 	set := ProfileSet{Version: profileFileVersion, Programs: b.Profiles()}
 	data, err := json.MarshalIndent(&set, "", "  ")
 	if err != nil {
 		return fmt.Errorf("tracers: encoding profiles: %w", err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		os.Remove(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return fmt.Errorf("tracers: writing profiles: %w", err)
 	}
-	return nil
+	defer func() {
+		if retErr != nil {
+			f.Close()
+			os.Remove(f.Name())
+			retErr = fmt.Errorf("tracers: writing profiles: %w", retErr)
+		}
+	}()
+	if _, err := f.Write(append(data, '\n')); err != nil {
+		return err
+	}
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // LoadProfiles reads a profile set written by SaveProfiles and seeds the
 // bundle from it. A missing file is not an error — a first session has
-// nothing to warm from — and reports applied = 0.
+// nothing to warm from — and reports applied = 0. A file that cannot be
+// read or decoded returns an error naming it and leaves every program
+// cold; a caller starting a session should warn and carry on, since a
+// lost profile costs a warmup, never correctness.
 func (b *Bundle) LoadProfiles(path string) (applied int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

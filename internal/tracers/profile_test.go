@@ -1,6 +1,10 @@
 package tracers
 
 import (
+	"bytes"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/tracesynth/rostracer/internal/apps"
@@ -127,5 +131,83 @@ func TestProfileIdentityGuard(t *testing.T) {
 	profs[0].Hash ^= 1
 	if applied := b2.ApplyProfiles(profs); applied != len(profs)-1 {
 		t.Fatalf("applied %d profiles, want %d (one stale hash skipped)", applied, len(profs)-1)
+	}
+}
+
+// TestProfileUnreadableStartsCold covers the files a killed or broken
+// previous run can leave behind — a truncated profile, garbage, an
+// empty file. LoadProfiles must report an error naming the file and
+// leave every program cold, and the next SaveProfiles must replace the
+// file whole, leaving no temporary file behind.
+func TestProfileUnreadableStartsCold(t *testing.T) {
+	dir := t.TempDir()
+	good := dir + "/good.json"
+	b1, _ := profileSession(t, "", nil)
+	if err := b1.SaveProfiles(good); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved) <= 300 {
+		t.Fatalf("saved profile is only %d bytes; truncating it to 300 would not damage it", len(saved))
+	}
+
+	newBundle := func() *Bundle {
+		w := rclcpp.NewWorld(rclcpp.Config{NumCPUs: 4, Seed: 7})
+		w.Runtime().SetHotThreshold(16)
+		b, err := NewBundle(w.Runtime())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cold := newBundle().ProgramTiers()
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", saved[:300]},
+		{"garbage", []byte("\x00\x01not a profile{{")},
+		{"empty", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := dir + "/" + tc.name + ".json"
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			b := newBundle()
+			applied, err := b.LoadProfiles(path)
+			if err == nil || applied != 0 {
+				t.Fatalf("LoadProfiles = %d, %v; want 0 and an error", applied, err)
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %q does not name the file %s", err, path)
+			}
+			if tiers := b.ProgramTiers(); !reflect.DeepEqual(tiers, cold) {
+				t.Fatalf("failed load changed program tiers: %v, cold bundle has %v", tiers, cold)
+			}
+
+			if err := b1.SaveProfiles(path); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, saved) {
+				t.Fatalf("re-saved profile differs from the original save (err %v)", err)
+			}
+			if n, err := newBundle().LoadProfiles(path); err != nil || n == 0 {
+				t.Fatalf("re-saved profile: applied %d, err %v", n, err)
+			}
+		})
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Fatalf("SaveProfiles left a temporary file behind: %s", e.Name())
+		}
 	}
 }
