@@ -612,8 +612,8 @@ func BenchmarkBundle_StreamDrain(b *testing.B) {
 
 // BenchmarkBundle_StreamSynthesize measures the full streaming pipeline
 // stage: one 500 ms segment drained straight into the incremental
-// Algorithm 1/2 builder (sched events folded online, ROS events
-// buffered).
+// Algorithm 1/2 builder (sched events folded online, each ROS event
+// stepping the extraction engine).
 func BenchmarkBundle_StreamSynthesize(b *testing.B) {
 	w, bd := benchTracedWorld(b)
 	mb := core.NewModelBuilder()

@@ -185,12 +185,7 @@ func main() {
 			fmt.Printf("  %-60.60s %6.2f Hz  %8.2f ms  %6.2f%%\n",
 				l.Key, l.RateHz, l.ACET.Milliseconds(), 100*l.Utilization)
 		}
-		b := analysis.GreedyBinding(analysis.NodeLoads(ls), 4)
-		fmt.Println("greedy 4-core binding:")
-		for node, cpu := range b.CPUOf {
-			fmt.Printf("  cpu%d <- %s\n", cpu, node)
-		}
-		fmt.Printf("max core load: %.2f%%\n", 100*b.MaxLoad)
+		fmt.Print(renderBinding(analysis.GreedyBinding(analysis.NodeLoads(ls), 4)))
 	}
 	if degraded {
 		// The model above was synthesized from a damaged store: every
@@ -199,6 +194,18 @@ func main() {
 		log.Print("WARNING: one or more sessions were salvaged from damage; the model covers surviving events only")
 		os.Exit(1)
 	}
+}
+
+// renderBinding prints a core binding one node per line, sorted by
+// (cpu, node) so the text is the same on every run.
+func renderBinding(b analysis.Binding) string {
+	var sb strings.Builder
+	sb.WriteString("greedy 4-core binding:\n")
+	for _, node := range b.Nodes() {
+		fmt.Fprintf(&sb, "  cpu%d <- %s\n", b.CPUOf[node], node)
+	}
+	fmt.Fprintf(&sb, "max core load: %.2f%%\n", 100*b.MaxLoad)
+	return sb.String()
 }
 
 func renderChain(d *core.DAG, c analysis.Chain) string {

@@ -67,8 +67,8 @@ func main() {
 			l.Key, l.RateHz, l.ACET.Milliseconds(), 100*l.Utilization)
 	}
 	binding := analysis.GreedyBinding(analysis.NodeLoads(loads), 4)
-	for node, cpu := range binding.CPUOf {
-		fmt.Printf("  cpu%d <- %s\n", cpu, node)
+	for _, node := range binding.Nodes() {
+		fmt.Printf("  cpu%d <- %s\n", binding.CPUOf[node], node)
 	}
 	fmt.Printf("  max core load %.1f%%\n", 100*binding.MaxLoad)
 }

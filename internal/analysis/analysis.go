@@ -231,6 +231,22 @@ type Binding struct {
 	MaxLoad float64
 }
 
+// Nodes returns the bound nodes sorted by (CPU, name), the order in
+// which a binding is printed.
+func (b Binding) Nodes() []string {
+	nodes := make([]string, 0, len(b.CPUOf))
+	for node := range b.CPUOf {
+		nodes = append(nodes, node)
+	}
+	sort.Slice(nodes, func(i, j int) bool {
+		if ci, cj := b.CPUOf[nodes[i]], b.CPUOf[nodes[j]]; ci != cj {
+			return ci < cj
+		}
+		return nodes[i] < nodes[j]
+	})
+	return nodes
+}
+
 // GreedyBinding packs node loads onto numCPUs cores, assigning the
 // heaviest node to the least-loaded core first (LPT) — the load-balancing
 // use-case of Sec. VI.

@@ -286,12 +286,12 @@ func BuildDAG(m *Model) *DAG {
 	return buildDAG(m, nil)
 }
 
-// buildDAG is BuildDAG with the timer-period estimator injectable:
-// periodOf (nil selects Callback.EstimatePeriod) lets the incremental
-// snapshot engine substitute its O(1) streaming median for the batch
-// sort, without which every snapshot would re-sort every timer's full
-// inter-start gap history.
-func buildDAG(m *Model, periodOf func(*Callback) sim.Duration) *DAG {
+// buildDAG is BuildDAG with timer periods supplied: periods (a timer
+// callback missing from it falls back to Callback.EstimatePeriod) lets
+// the snapshot engine substitute its O(1) streaming median for the
+// batch sort, without which every snapshot would re-sort every timer's
+// full inter-start gap history.
+func buildDAG(m *Model, periods map[*Callback]sim.Duration) *DAG {
 	d := NewDAG()
 	keys := canonicalKeys(m.Callbacks)
 
@@ -329,10 +329,8 @@ func buildDAG(m *Model, periodOf func(*Callback) sim.Duration) *DAG {
 			v.OutTopics = mergeSorted(v.OutTopics, baseTopic(t))
 		}
 		if cb.Type == CBTimer {
-			var p sim.Duration
-			if periodOf != nil {
-				p = periodOf(cb)
-			} else {
+			p, ok := periods[cb]
+			if !ok {
 				p = cb.EstimatePeriod()
 			}
 			if p > 0 {

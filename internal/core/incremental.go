@@ -10,73 +10,134 @@ import (
 )
 
 // snapEngine is the Algorithm 1 engine behind every ModelBuilder: it
-// folds the ROS event stream delta by delta, keeping the per-PID
-// extraction state machines, the caller/client search index, and
-// per-callback accumulators alive between folds, so a periodic snapshot
-// costs in proportion to the events observed since the previous one,
-// not to session length.
+// steps once per ROS event, keeping the per-PID extraction state
+// machines, the caller/client search state, and per-callback
+// accumulators alive between snapshots, so a periodic snapshot costs in
+// proportion to the model, not to session length. No event is kept
+// once stepped, except a PID's events awaiting its P1 (see pidState).
 //
-// A fold over any prefix of a stream yields the model a batch extraction
-// over exactly that prefix would (the batch test oracle pins this). That
-// rests on which Algorithm 1 lookups are stable under stream growth:
+// A model materialized after any prefix of a stream is the one a batch
+// extraction over exactly that prefix would yield (the batch test oracle
+// pins this). That rests on which Algorithm 1 lookups are stable under
+// stream growth:
 //
-//   - findCaller is stable: a request's dds_write precedes its
-//     take_request in (Time, Seq) order (the write causes the take), so
-//     by the time the take is folded the index already holds the write,
-//     and positions only ever append — the first match never changes.
+//   - FindCaller is stable: a request's dds_write precedes its
+//     take_request in (Time, Seq) order (the write causes the take), and
+//     its answer — the writer's last ID-bearing event since its last
+//     callback start — is fixed when the write is seen, so it is
+//     captured then, for the first write of each request.
 //   - FindClient is NOT stable: the take_response and
 //     take_type_erased_response events that identify the dispatched
 //     client follow the response's dds_write in time, so the answer for
 //     an already-extracted write can change as the stream grows — from
 //     "no client" (decoration #0 plus a diagnostic) to the real client
-//     ID. Such lookups stay pending: every snapshot re-resolves them
-//     against the current index, updating the owning callback's
-//     decorated out-topic set and suppressing the diagnostic once a
-//     client appears, until the answer is provably final (a dispatched
-//     client found with every earlier take definitively skipped).
+//     ID. Such lookups stay pending: every snapshot re-resolves them,
+//     updating the owning callback's decorated out-topic set and
+//     suppressing the diagnostic once a client appears, until the
+//     answer is provably final (a dispatched client found with every
+//     earlier take definitively skipped).
 //
 // All other attributes fold forward: merged callbacks accumulate stats,
 // instances, and refcounted out-topics; timer periods keep an exact
 // two-heap running median over inter-start gaps, matching
 // Callback.EstimatePeriod's upper-median element for any length.
 type snapEngine struct {
-	ros    []trace.Event // the builder's ros buffer, all PIDs
-	folded int           // prefix of ros already folded
+	pids map[uint32]*pidState
 
-	// writesBy maps (request topic, srcTS) to positions of dds_write
-	// events in ros; takeRespBy maps (response topic, srcTS) to positions
-	// of P13 events. Both only ever append.
-	writesBy, takeRespBy map[topicTS][]int
+	// callerOf maps (request topic, srcTS) to FindCaller's answer for
+	// the first dds_write of that request; clients maps (response topic,
+	// srcTS) to FindClient's state. Both keep one entry per key.
+	callerOf map[topicTS]uint64
+	clients  map[topicTS]*clientLookup
 
-	// tte holds take_type_erased_response positions per PID, the
-	// resumable form of FindClient's forward scan: the outcome for
-	// a take at position p is decided by the first entry past p.
-	tte map[uint32][]ttePoint
-
-	nodeOf   map[uint32]string
-	machines map[uint32]*pidMachine
-
-	// et carries closed-window execution times from the ModelBuilder's
-	// log to the callback-end events that consume them. A fold leaves
-	// behind only the windows of PIDs no P1 event has named yet.
-	et map[etKey]sim.Duration
-
+	nodeOf  map[uint32]string
 	pending []*pendingClient
+	held    int // events held for late-P1 replay, over all PIDs
 }
 
-type ttePoint struct {
-	pos int
-	ret uint64
+// pidState is one PID's search and extraction state. Every PID has
+// one, named by a P1 event or not, since the caller/client searches
+// cross into PIDs Algorithm 1 does not model.
+type pidState struct {
+	// lastID is what FindCaller's backward walk from a write of this PID
+	// would return: the CBID of the last timer call or take since the
+	// last callback start, 0 if there is none.
+	lastID uint64
+	// awaiting holds the PID's take_response records whose next
+	// take_type_erased_response has not been seen yet.
+	awaiting []*takeRec
+	// mach is nil until a P1 event names the PID: Algorithm 1 models
+	// initialized nodes only. Until then replay holds the PID's events
+	// from its first callback start on (earlier ones step no machine
+	// state), so a late-named PID replays what stepping them in stream
+	// order would have produced.
+	mach   *pidMachine
+	replay []heldEvent
+}
+
+// heldEvent is an event awaiting replay, with its window's execution
+// time if it is a callback end.
+type heldEvent struct {
+	e  trace.Event
+	et sim.Duration
+}
+
+// clientLookup is FindClient's state for one (response topic, srcTS):
+// the matching take_response records in stream order, of which a
+// leading run of definitively skipped ones is dropped, until a
+// dispatched client is final and the records collapse to its ID.
+type clientLookup struct {
+	takes []*takeRec
+	id    uint64
+	final bool
+}
+
+// takeRec is one take_response of a client lookup: the taking
+// callback's ID and, once the taking PID's next
+// take_type_erased_response is seen, whether it dispatched.
+type takeRec struct {
+	cbid             uint64
+	seen, dispatched bool
+	l                *clientLookup
+}
+
+// compact drops the lookup's leading definitively skipped takes; a
+// leading dispatched take makes the answer final.
+func (l *clientLookup) compact() {
+	i := 0
+	for i < len(l.takes) && l.takes[i].seen && !l.takes[i].dispatched {
+		i++
+	}
+	if i < len(l.takes) && l.takes[i].seen {
+		l.id, l.final, l.takes = l.takes[i].cbid, true, nil
+		return
+	}
+	n := copy(l.takes, l.takes[i:])
+	clear(l.takes[n:])
+	l.takes = l.takes[:n]
+}
+
+// answer is FindClient over the stream so far: the first take that
+// dispatched, final only when every earlier take was definitively
+// skipped (compaction leaves no such take in front of it).
+func (l *clientLookup) answer() (id uint64, final bool) {
+	if l.final {
+		return l.id, true
+	}
+	for _, t := range l.takes {
+		if t.dispatched {
+			return t.cbid, false
+		}
+	}
+	return 0, false
 }
 
 func newSnapEngine() *snapEngine {
 	return &snapEngine{
-		writesBy:   make(map[topicTS][]int),
-		takeRespBy: make(map[topicTS][]int),
-		tte:        make(map[uint32][]ttePoint),
-		nodeOf:     make(map[uint32]string),
-		machines:   make(map[uint32]*pidMachine),
-		et:         make(map[etKey]sim.Duration),
+		pids:     make(map[uint32]*pidState),
+		callerOf: make(map[topicTS]uint64),
+		clients:  make(map[topicTS]*clientLookup),
+		nodeOf:   make(map[uint32]string),
 	}
 }
 
@@ -93,7 +154,9 @@ type pidMachine struct {
 // diagSlot is one diagnostic position in a PID's extraction output. A
 // slot tied to a pending client lookup is visible only while that
 // lookup resolves to "no client", exactly when an extraction over the
-// stream so far would emit it.
+// stream so far would emit it; most such lookups resolve, so its text is
+// formatted from the lookup's topic and srcTS only once a model shows
+// it, and the slot is dropped once its client is final.
 type diagSlot struct {
 	d    Diagnostic
 	pend *pendingClient
@@ -102,11 +165,10 @@ type diagSlot struct {
 // curState is the instance currently open on a PID (CB.* in the
 // paper).
 type curState struct {
-	cb       Callback // ID, Type, InTopic, IsSync accumulate here
-	outs     []outContrib
-	start    sim.Time
-	startSeq uint64
-	inst     Instance
+	cb    Callback // ID, Type, InTopic, IsSync accumulate here
+	outs  []outContrib
+	start sim.Time
+	inst  Instance
 }
 
 // outContrib is one dds_write's contribution to a callback's decorated
@@ -194,18 +256,21 @@ func (e *cbEntry) snapshotCallback(node string) *Callback {
 }
 
 // pendingClient is one unresolved FindClient lookup, created at a
-// response dds_write and re-resolved against the grown index at every
-// snapshot until final.
+// response dds_write and re-resolved at every snapshot until final.
 type pendingClient struct {
 	topic  string // response topic (the write's topic, also the lookup key)
 	srcTS  int64
+	l      *clientLookup
 	owner  *cbEntry // merged entry holding the out-topic contribution; nil while the instance is open or discarded
 	curOut string   // decorated string currently in owner's refcounts
 	id     uint64
 	final  bool
 }
 
-func (p *pendingClient) set(id uint64, final bool) {
+// resolve re-reads the lookup's answer, moving the owner's out-topic
+// contribution when the client changed.
+func (p *pendingClient) resolve() {
+	id, final := p.l.answer()
 	p.final = final
 	if id == p.id {
 		return
@@ -223,147 +288,74 @@ func (p *pendingClient) set(id uint64, final bool) {
 	}
 }
 
-// fold advances the engine over the builder's delta: ros is the
-// (Time, Seq)-sorted ROS event prefix observed so far and etLog the
-// windows closed at its callback-end events since the previous fold.
-// The delta is indexed first and extracted second, so a caller search
-// from inside the delta already sees writes later in the same delta.
-func (g *snapEngine) fold(ros []trace.Event, etLog []etEntry) {
-	if len(g.et) == 0 && len(etLog) > 0 {
-		g.et = make(map[etKey]sim.Duration, len(etLog)) // sized: no rehash mid-fold
+// step advances the engine over one ROS event: the search state of the
+// event's PID first, then its extraction machine, or its replay buffer
+// while no P1 has named it. et is the execution time of the window a
+// callback-end event closes, from the builder's online Algorithm 2.
+func (g *snapEngine) step(e *trace.Event, et sim.Duration) {
+	ps := g.pids[e.PID]
+	if ps == nil {
+		ps = &pidState{}
+		g.pids[e.PID] = ps
 	}
-	for _, rec := range etLog {
-		g.et[rec.key] = rec.et
+	switch {
+	case e.Kind.IsCBStart():
+		ps.lastID = 0
+	case e.Kind == trace.KindTimerCall || e.Kind.IsTake():
+		ps.lastID = e.CBID
 	}
-
-	g.ros = ros
-	for i := g.folded; i < len(ros); i++ {
-		e := &ros[i]
-		switch e.Kind {
-		case trace.KindDDSWrite:
-			// FindCaller looks up request writes only; indexing the
-			// plain-topic bulk would cost a map entry per message.
-			if dds.IsRequestTopic(e.Topic) {
-				k := topicTS{e.Topic, e.SrcTS}
-				g.writesBy[k] = append(g.writesBy[k], i)
-			}
-		case trace.KindTakeResponse:
-			k := topicTS{dds.ServiceResponseTopic(e.Topic), e.SrcTS}
-			g.takeRespBy[k] = append(g.takeRespBy[k], i)
-		case trace.KindTakeTypeErased:
-			g.tte[e.PID] = append(g.tte[e.PID], ttePoint{i, e.Ret})
-		case trace.KindCreateNode:
-			g.nodeOf[e.PID] = e.Node
-		}
-	}
-	for i := g.folded; i < len(ros); i++ {
-		if m := g.machineFor(ros[i].PID); m != nil {
-			m.step(g, &ros[i])
-		}
-	}
-	g.folded = len(ros)
-	// Windows a named PID's machine left belonged to instances P14
-	// discarded; those of PIDs not yet named wait for a replay.
-	for _, rec := range etLog {
-		if g.machines[rec.key.pid] != nil {
-			delete(g.et, rec.key)
-		}
-	}
-}
-
-// machineFor returns pid's extraction machine, or nil while no P1 event
-// has named pid's node: Algorithm 1 models initialized nodes only. A PID
-// named after some of its events were folded first replays them, which
-// yields what stepping them in their own fold would have.
-func (g *snapEngine) machineFor(pid uint32) *pidMachine {
-	m := g.machines[pid]
-	if m == nil {
-		if _, ok := g.nodeOf[pid]; !ok {
-			return nil
-		}
-		m = &pidMachine{pid: pid}
-		g.machines[pid] = m
-		for i := range g.ros[:g.folded] {
-			if e := &g.ros[i]; e.PID == pid {
-				m.step(g, e)
+	switch e.Kind {
+	case trace.KindDDSWrite:
+		// FindCaller looks up request writes only; recording the
+		// plain-topic bulk would cost a map entry per message.
+		if dds.IsRequestTopic(e.Topic) {
+			k := topicTS{e.Topic, e.SrcTS}
+			if _, ok := g.callerOf[k]; !ok {
+				g.callerOf[k] = ps.lastID
 			}
 		}
+	case trace.KindTakeResponse:
+		if l := g.client(dds.ServiceResponseTopic(e.Topic), e.SrcTS); !l.final {
+			r := &takeRec{cbid: e.CBID, l: l}
+			l.takes = append(l.takes, r)
+			ps.awaiting = append(ps.awaiting, r)
+		}
+	case trace.KindTakeTypeErased:
+		for _, r := range ps.awaiting {
+			r.seen, r.dispatched = true, e.Ret == 1
+			r.l.compact()
+		}
+		clear(ps.awaiting)
+		ps.awaiting = ps.awaiting[:0]
+	case trace.KindCreateNode:
+		g.nodeOf[e.PID] = e.Node
+		if ps.mach == nil {
+			ps.mach = &pidMachine{pid: e.PID}
+			for i := range ps.replay {
+				ps.mach.step(g, &ps.replay[i].e, ps.replay[i].et)
+			}
+			g.held -= len(ps.replay)
+			ps.replay = nil
+		}
 	}
-	return m
+	switch {
+	case ps.mach != nil:
+		ps.mach.step(g, e, et)
+	case ps.replay != nil || e.Kind.IsCBStart():
+		ps.replay = append(ps.replay, heldEvent{*e, et})
+		g.held++
+	}
 }
 
-// takeET consumes one closed window's execution time. Each window is
-// read exactly once (its callback-end event), so the entry is deleted.
-func (g *snapEngine) takeET(pid uint32, startSeq uint64) sim.Duration {
-	k := etKey{pid, startSeq}
-	d := g.et[k]
-	delete(g.et, k)
-	return d
-}
-
-// findCaller implements Algorithm 1's FindCaller: locate the dds_write of
-// the request (same topic and source timestamp), then walk that PID's
-// events backwards to the ID-bearing event (timer call or take) after the
-// caller's last callback start.
-func (g *snapEngine) findCaller(reqTopic string, srcTS int64) uint64 {
-	positions := g.writesBy[topicTS{reqTopic, srcTS}]
-	if len(positions) == 0 {
-		return 0
+// client returns the FindClient state for (topic, srcTS), creating it.
+func (g *snapEngine) client(topic string, srcTS int64) *clientLookup {
+	k := topicTS{topic, srcTS}
+	l := g.clients[k]
+	if l == nil {
+		l = &clientLookup{}
+		g.clients[k] = l
 	}
-	pos := positions[0]
-	writerPID := g.ros[pos].PID
-	for j := pos - 1; j >= 0; j-- {
-		e := g.ros[j]
-		if e.PID != writerPID {
-			continue
-		}
-		if e.Kind.IsCBStart() {
-			return 0 // reached the caller's CB start without an ID event
-		}
-		if e.Kind == trace.KindTimerCall || e.Kind.IsTake() {
-			return e.CBID
-		}
-	}
-	return 0
-}
-
-// tteAfter finds the first take_type_erased_response of pid past pos —
-// FindClient's forward scan as a binary search over the per-PID position
-// list. ok is false while no such event has been observed yet.
-func (g *snapEngine) tteAfter(pid uint32, pos int) (ttePoint, bool) {
-	list := g.tte[pid]
-	i := sort.Search(len(list), func(i int) bool { return list[i].pos > pos })
-	if i == len(list) {
-		return ttePoint{}, false
-	}
-	return list[i], true
-}
-
-// resolve recomputes a pending client lookup against the current index —
-// Algorithm 1's FindClient: among the take_response events matching the
-// response write, in stream order, the first whose next
-// take_type_erased_response (same PID) returned 1 names the dispatched
-// client; a take whose next type-erased take returned 0 is skipped for
-// good; a take with no type-erased take yet is skipped for now. The
-// answer is final only when a client was found and every earlier take
-// was definitively skipped — otherwise later events could change it,
-// exactly as a batch re-run over the longer stream could.
-func (g *snapEngine) resolve(p *pendingClient) {
-	positions := g.takeRespBy[topicTS{p.topic, p.srcTS}]
-	definitive := true
-	for _, pos := range positions {
-		take := g.ros[pos]
-		tte, ok := g.tteAfter(take.PID, pos)
-		if !ok {
-			definitive = false
-			continue
-		}
-		if tte.ret == 1 {
-			p.set(take.CBID, definitive)
-			return
-		}
-	}
-	p.set(0, false)
+	return l
 }
 
 // resolvePending re-resolves every open client lookup and drops the
@@ -372,29 +364,27 @@ func (g *snapEngine) resolvePending() {
 	old := g.pending
 	live := old[:0]
 	for _, p := range old {
-		g.resolve(p)
+		p.resolve()
 		if !p.final {
 			live = append(live, p)
 		}
 	}
-	for i := len(live); i < len(old); i++ {
-		old[i] = nil // release finalized lookups
-	}
+	clear(old[len(live):]) // release finalized lookups
 	g.pending = live
 }
 
 // step folds one ROS event into the PID's extraction machine — one
 // iteration of Algorithm 1's traversal. Out-topic decoration for
-// responses goes through a pendingClient, and execution times come from
-// the builder's online Algorithm 2 fold.
-func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
+// responses goes through a pendingClient, and et is the execution time
+// the builder's online Algorithm 2 measured for a callback end's window.
+func (m *pidMachine) step(g *snapEngine, e *trace.Event, et sim.Duration) {
 	switch {
 	case e.Kind.IsCBStart(): // P2 / P5 / P9 / P12
 		if m.cur != nil {
 			m.diags = append(m.diags, diagSlot{d: Diagnostic{m.pid, e.Time,
 				fmt.Sprintf("callback start %v while instance from %v still open", e.Kind, m.cur.start)}})
 		}
-		cur := &curState{start: e.Time, startSeq: e.Seq}
+		cur := &curState{start: e.Time}
 		cur.cb = Callback{PID: m.pid}
 		switch e.Kind {
 		case trace.KindTimerCBStart:
@@ -422,7 +412,7 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 			cur.inst.TakeTopic = respTopic
 		case trace.KindTakeRequest:
 			reqTopic := dds.ServiceRequestTopic(e.Topic)
-			caller := g.findCaller(reqTopic, e.SrcTS)
+			caller := g.callerOf[topicTS{reqTopic, e.SrcTS}]
 			if caller == 0 {
 				m.diags = append(m.diags, diagSlot{d: Diagnostic{m.pid, e.Time,
 					fmt.Sprintf("no caller found for request on %s srcTS=%d", reqTopic, e.SrcTS)}})
@@ -441,13 +431,10 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 		case dds.IsRequestTopic(topic):
 			contrib.fixed = decorate(topic, m.cur.cb.ID)
 		case dds.IsResponseTopic(topic):
-			p := &pendingClient{topic: topic, srcTS: e.SrcTS, curOut: decorate(topic, 0)}
-			g.resolve(p)
-			m.diags = append(m.diags, diagSlot{
-				d: Diagnostic{m.pid, e.Time,
-					fmt.Sprintf("no dispatched client found for response on %s srcTS=%d", topic, e.SrcTS)},
-				pend: p,
-			})
+			p := &pendingClient{topic: topic, srcTS: e.SrcTS,
+				l: g.client(topic, e.SrcTS), curOut: decorate(topic, 0)}
+			p.resolve()
+			m.diags = append(m.diags, diagSlot{d: Diagnostic{PID: m.pid, Time: e.Time}, pend: p})
 			if !p.final {
 				g.pending = append(g.pending, p)
 			}
@@ -468,7 +455,7 @@ func (m *pidMachine) step(g *snapEngine, e *trace.Event) {
 		cur := m.cur
 		cur.inst.Start = cur.start
 		cur.inst.End = e.Time
-		cur.inst.ET = g.takeET(m.pid, cur.startSeq)
+		cur.inst.ET = et
 		m.merge(cur)
 		m.cur = nil
 	}
@@ -514,9 +501,9 @@ func (m *pidMachine) merge(cur *curState) {
 // materialize assembles a Model from the accumulators: fresh Callback
 // headers over clamp-shared slices in PID order, with diagnostics
 // filtered by current pending resolutions and an open instance
-// reported as truncated. The returned periodOf closes over the
-// entries' running medians for buildDAG.
-func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
+// reported as truncated. It also returns each timer callback's period,
+// read off the running medians, so buildDAG needs no engine state.
+func (g *snapEngine) materialize() (*Model, map[*Callback]sim.Duration) {
 	m := &Model{NodeOf: make(map[uint32]string, len(g.nodeOf))}
 	pids := make([]uint32, 0, len(g.nodeOf))
 	for pid, node := range g.nodeOf {
@@ -525,34 +512,40 @@ func (g *snapEngine) materialize() (*Model, func(*Callback) sim.Duration) {
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 
-	entryOf := make(map[*Callback]*cbEntry)
+	periods := make(map[*Callback]sim.Duration)
 	for _, pid := range pids {
-		mach := g.machines[pid]
-		if mach == nil {
-			continue
-		}
+		mach := g.pids[pid].mach
 		for _, e := range mach.list {
 			cb := e.snapshotCallback(g.nodeOf[pid])
-			entryOf[cb] = e
+			if cb.Type == CBTimer {
+				periods[cb] = e.period()
+			}
 			m.Callbacks = append(m.Callbacks, cb)
 		}
+		kept := mach.diags[:0]
 		for _, slot := range mach.diags {
-			if slot.pend == nil || slot.pend.id == 0 {
-				m.Diags = append(m.Diags, slot.d)
+			if p := slot.pend; p != nil {
+				if p.id != 0 {
+					if !p.final {
+						kept = append(kept, slot) // hidden while the client holds
+					}
+					continue
+				}
+				if slot.d.Msg == "" {
+					slot.d.Msg = fmt.Sprintf("no dispatched client found for response on %s srcTS=%d", p.topic, p.srcTS)
+				}
 			}
+			kept = append(kept, slot)
+			m.Diags = append(m.Diags, slot.d)
 		}
+		clear(mach.diags[len(kept):])
+		mach.diags = kept
 		if mach.cur != nil {
 			m.Diags = append(m.Diags, Diagnostic{pid, mach.cur.start,
 				"instance open at end of trace (truncated)"})
 		}
 	}
-	periodOf := func(cb *Callback) sim.Duration {
-		if e := entryOf[cb]; e != nil {
-			return e.period()
-		}
-		return cb.EstimatePeriod()
-	}
-	return m, periodOf
+	return m, periods
 }
 
 // medianTracker maintains the upper median of a growing multiset with

@@ -11,34 +11,33 @@ import (
 // batch) while periodic Snapshot calls hand out the current model and
 // DAG.
 //
-// Synthesis is incremental: the builder's engine folds only the events
-// observed since the previous snapshot into persistent model and DAG
-// delta state (extraction machines, search index, per-callback
-// accumulators), so Snapshot cost is proportional to the delta, not to
-// session length. The fold also runs off the observation lock — Observe
-// holds mu for one event fold; Snapshot holds it just long enough to
-// capture the builder's delta, then folds, materializes and builds the
-// DAG under its own serialization lock while observation continues.
+// Synthesis is incremental: every observed event steps the builder's
+// engine at once, keeping persistent model and DAG delta state
+// (extraction machines, search state, per-callback accumulators), so
+// Snapshot cost is proportional to the model, not to session length.
+// Observe holds mu for one event; Snapshot holds it just long enough to
+// re-resolve the pending client lookups and materialize the model, then
+// builds the DAG while observation continues.
 type SnapshotService struct {
-	mu  sync.Mutex // guards obs and b's observation state
+	mu  sync.Mutex // guards everything below
 	b   *ModelBuilder
 	obs uint64 // total events observed, ROS + sched
-
-	synthMu sync.Mutex // serializes snapshots; guards seq and b's engine
-	seq     int
+	seq int
 }
 
 // Snapshot is one point-in-time synthesis of the stream so far. Counters
 // are cumulative, so across successive snapshots every one of them is
-// non-decreasing — the monotonicity the race test asserts.
+// non-decreasing — the monotonicity the race test asserts — except the
+// two gauges of retained state.
 type Snapshot struct {
-	Seq         int    // 1-based snapshot number
-	Events      uint64 // events observed when the snapshot was taken
-	FoldedSched uint64 // sched events folded online (never retained)
-	BufferedROS int    // ROS events the builder holds
-	OutOfOrder  uint64 // events that arrived below the (Time, Seq) order
-	Model       *Model
-	DAG         *DAG
+	Seq            int    // 1-based snapshot number
+	Events         uint64 // events observed when the snapshot was taken
+	FoldedSched    uint64 // sched events folded online (never retained)
+	BufferedROS    int    // ROS events held for late-P1 replay (gauge)
+	PendingLookups int    // client lookups still open (gauge)
+	OutOfOrder     uint64 // events that arrived below the (Time, Seq) order
+	Model          *Model
+	DAG            *DAG
 }
 
 // NewSnapshotService returns a service over an empty builder.
@@ -78,27 +77,30 @@ func (s *SnapshotService) EventsObserved() uint64 {
 	return s.obs
 }
 
-// Snapshot synthesizes the model and DAG from everything observed so
-// far, folding only the delta since the previous snapshot. Observation
-// is blocked only for the delta capture.
-func (s *SnapshotService) Snapshot() Snapshot {
-	s.synthMu.Lock()
-	defer s.synthMu.Unlock()
-	s.seq++
-
+// Retained reports the synthesis state that is not model: ROS events
+// held for late-P1 replay and client lookups still open.
+func (s *SnapshotService) Retained() (events, lookups int) {
 	s.mu.Lock()
-	ros, etLog := s.b.take()
-	obs, sched, ooo := s.obs, s.b.sched, s.b.ooo
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return s.b.BufferedROSEvents(), s.b.PendingLookups()
+}
 
-	m, periodOf := s.b.fold(ros, etLog)
-	return Snapshot{
-		Seq:         s.seq,
-		Events:      obs,
-		FoldedSched: sched,
-		BufferedROS: len(ros),
-		OutOfOrder:  ooo,
-		Model:       m,
-		DAG:         buildDAG(m, periodOf),
+// Snapshot synthesizes the model and DAG from everything observed so
+// far. Observation is blocked only while the model is materialized.
+func (s *SnapshotService) Snapshot() Snapshot {
+	s.mu.Lock()
+	s.seq++
+	m, periods := s.b.model()
+	snap := Snapshot{
+		Seq:            s.seq,
+		Events:         s.obs,
+		FoldedSched:    s.b.sched,
+		BufferedROS:    s.b.BufferedROSEvents(),
+		PendingLookups: s.b.PendingLookups(),
+		OutOfOrder:     s.b.ooo,
+		Model:          m,
 	}
+	s.mu.Unlock()
+	snap.DAG = buildDAG(m, periods)
+	return snap
 }

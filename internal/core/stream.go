@@ -18,14 +18,17 @@ import (
 // (Time, Seq) seen so far is counted in OutOfOrder, and a non-zero count
 // means the model may differ from one over the sorted stream.
 //
-// The memory shape is what makes streaming worthwhile: ROS middleware
-// events are buffered (Algorithm 1's caller/client searches cross node
-// boundaries in both directions, so the model needs them all), but
-// scheduler events — the bulk of any kernel-traced run — are folded into
-// per-PID execution-time accumulators as they pass and never retained.
-// Algorithm 2 runs online: a callback-start probe opens a window
+// The memory shape is what makes streaming worthwhile: no event is
+// retained once observed. ROS middleware events step the engine at once
+// (Algorithm 1's caller/client searches keep per-PID and per-request
+// state, not the events they were computed from), and scheduler events —
+// the bulk of any kernel-traced run — are folded into per-PID
+// execution-time accumulators as they pass. The one exception is a PID
+// that no P1 event has named yet: its events wait for a late P1's
+// replay. Algorithm 2 runs online: a callback-start probe opens a window
 // (running, since the probe fires on-CPU), switches charge or suspend
-// the window as they stream by, and the callback-end probe closes it.
+// the window as they stream by, and the callback-end probe closes it,
+// handing its execution time to the engine along with the event.
 // The (Time, Seq) bracketing the paper's strict window comparisons need
 // in a simulator where events can share a timestamp falls out of stream
 // order for free: a switch sharing the start timestamp but emitted
@@ -33,14 +36,8 @@ import (
 // end timestamp but emitted later arrives after the end probe, when the
 // window is already closed.
 type ModelBuilder struct {
-	ros   []trace.Event
 	open  map[uint32]*etWindow
 	sched uint64
-
-	// etLog holds the windows closed since the last fold, in close order.
-	// take hands it to the engine and starts a fresh slice, so the builder
-	// never holds more than one fold's worth of closed windows.
-	etLog []etEntry
 
 	// lastTime/lastSeq is the highest (Time, Seq) observed; ooo counts
 	// the events that arrived below it.
@@ -51,26 +48,11 @@ type ModelBuilder struct {
 	eng *snapEngine
 }
 
-// etEntry is one closed callback-instance window: its identity and the
-// accumulated execution time.
-type etEntry struct {
-	key etKey
-	et  sim.Duration
-}
-
-// etKey identifies one callback-instance window: the executor PID plus
-// the emission sequence number of its start probe (globally unique).
-type etKey struct {
-	pid      uint32
-	startSeq uint64
-}
-
 // etWindow accumulates Algorithm 2 state for one open window.
 type etWindow struct {
-	startSeq uint64
-	last     sim.Time
-	et       sim.Duration
-	running  bool
+	last    sim.Time
+	et      sim.Duration
+	running bool
 }
 
 // NewModelBuilder returns an empty builder.
@@ -95,21 +77,21 @@ func (b *ModelBuilder) Observe(e trace.Event) {
 	case trace.KindSchedWakeup:
 		b.sched++ // wakeups carry no Algorithm 2 information
 	default:
-		b.ros = append(b.ros, e)
+		var et sim.Duration
 		switch {
 		case e.Kind.IsCBStart():
 			// The start probe fires on-CPU, so the window opens running.
-			b.open[e.PID] = &etWindow{startSeq: e.Seq, last: e.Time, running: true}
+			b.open[e.PID] = &etWindow{last: e.Time, running: true}
 		case e.Kind.IsCBEnd():
 			if w, ok := b.open[e.PID]; ok {
-				et := w.et
+				et = w.et
 				if w.running {
 					et += e.Time.Sub(w.last)
 				}
-				b.etLog = append(b.etLog, etEntry{etKey{e.PID, w.startSeq}, et})
 				delete(b.open, e.PID)
 			}
 		}
+		b.eng.step(&e, et)
 	}
 }
 
@@ -141,9 +123,14 @@ func (b *ModelBuilder) observeSwitch(e trace.Event) {
 	}
 }
 
-// BufferedROSEvents reports how many ROS events the builder holds — the
-// streaming pipeline's entire retained state besides O(open windows).
-func (b *ModelBuilder) BufferedROSEvents() int { return len(b.ros) }
+// BufferedROSEvents reports how many ROS events the builder holds for
+// late-P1 replay: the events, from its first callback start on, of each
+// PID no P1 event has named yet. Nothing else observed is retained.
+func (b *ModelBuilder) BufferedROSEvents() int { return b.eng.held }
+
+// PendingLookups reports how many FindClient lookups are still open: a
+// response's dispatched client that later events may yet change.
+func (b *ModelBuilder) PendingLookups() int { return len(b.eng.pending) }
 
 // SchedEventsFolded reports how many scheduler events streamed through
 // without being retained.
@@ -154,39 +141,25 @@ func (b *ModelBuilder) SchedEventsFolded() uint64 { return b.sched }
 // the store readers or ExtractModel's sort produce.
 func (b *ModelBuilder) OutOfOrder() uint64 { return b.ooo }
 
-// Finish folds everything observed since the previous call into the
-// engine and returns the model. It does not consume the builder: more
-// events may be observed and Finish called again, so a long-running
-// tracer can re-synthesize periodically while the session continues, at
-// a cost proportional to the events observed in between.
+// Finish returns the model of everything observed so far. It does not
+// consume the builder: more events may be observed and Finish called
+// again, so a long-running tracer can re-synthesize periodically while
+// the session continues.
 func (b *ModelBuilder) Finish() *Model {
-	m, _ := b.fold(b.take())
+	m, _ := b.model()
 	return m
 }
 
-// take captures the engine's next delta: the ROS buffer (append-only, so
-// the captured prefix stays immutable while observation continues) and
-// the windows closed since the previous take.
-func (b *ModelBuilder) take() ([]trace.Event, []etEntry) {
-	ros, etLog := b.ros, b.etLog
-	b.etLog = nil
-	return ros, etLog
-}
-
-// fold advances the engine over a captured delta, re-resolves the
-// pending client lookups, and materializes the model together with the
-// engine's timer-period estimator for buildDAG. It touches only the
-// engine, never the observation state, so SnapshotService runs it
-// outside its observation lock.
-func (b *ModelBuilder) fold(ros []trace.Event, etLog []etEntry) (*Model, func(*Callback) sim.Duration) {
-	b.eng.fold(ros, etLog)
+// model re-resolves the pending client lookups and materializes the
+// model together with its timer periods for buildDAG.
+func (b *ModelBuilder) model() (*Model, map[*Callback]sim.Duration) {
 	b.eng.resolvePending()
 	return b.eng.materialize()
 }
 
 // DAG builds the precedence DAG from everything observed so far, with
 // timer periods read off the engine's running medians.
-func (b *ModelBuilder) DAG() *DAG { return buildDAG(b.fold(b.take())) }
+func (b *ModelBuilder) DAG() *DAG { return buildDAG(b.model()) }
 
 // SynthesizeSink is the streaming form of Synthesize: stream a session
 // (or several segments) into it, then call DAG.

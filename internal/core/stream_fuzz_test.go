@@ -170,6 +170,14 @@ func FuzzModelBuilderOracle(f *testing.F) {
 		}
 		f.Add(stream, []byte{byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256))})
 	}
+	// Late-P1 replay: PID 8 writes plain and request topics before a P1
+	// names it, then runs a timer callback; PID 9 takes a response and
+	// reads its dispatch flag inside a client instance that is open when
+	// its P1 arrives.
+	f.Add([]byte{1, 5, 1, 4, 0, 1, 1, 5, 1, 4, 2, 2, 1, 5, 1, 9, 2, 1, 5, 1, 0, 0, 0, 1, 5, 0, 0,
+		1, 4, 2, 3, 1, 5, 1, 0, 0, 0, 7, 2, 2}, []byte{64, 128, 192})
+	f.Add([]byte{1, 5, 2, 0, 3, 0, 2, 8, 0, 1, 1, 0, 0, 0, 2, 0, 0, 4, 3, 1, 0, 2, 8, 1, 1, 1, 5,
+		2, 9, 2, 1, 5, 2, 0, 0, 0, 0}, []byte{64, 128, 192})
 	f.Fuzz(func(t *testing.T, stream, cutBytes []byte) {
 		tr := randomInterleaving(bytePicker(stream), min(len(stream)/3, 512))
 		cuts := make([]int, 0, 8)

@@ -103,7 +103,8 @@ func TestModelBuilderRandomInterleavings(t *testing.T) {
 }
 
 // TestModelBuilderFoldsSchedEvents checks the memory contract: scheduler
-// events stream through without being buffered.
+// events stream through without being buffered, and a named PID's ROS
+// events step its machine without being held.
 func TestModelBuilderFoldsSchedEvents(t *testing.T) {
 	mb := NewModelBuilder()
 	mb.Observe(trace.Event{Time: 1, Seq: 0, PID: 7, Kind: trace.KindCreateNode, Node: "n"})
@@ -111,8 +112,8 @@ func TestModelBuilderFoldsSchedEvents(t *testing.T) {
 		mb.Observe(trace.Event{Time: sim.Time(2 + i), Seq: uint64(1 + i),
 			Kind: trace.KindSchedSwitch, PrevPID: 7, NextPID: 1})
 	}
-	if mb.BufferedROSEvents() != 1 {
-		t.Fatalf("builder buffered %d ROS events, want 1", mb.BufferedROSEvents())
+	if mb.BufferedROSEvents() != 0 {
+		t.Fatalf("builder buffered %d ROS events, want 0", mb.BufferedROSEvents())
 	}
 	if mb.SchedEventsFolded() != 1000 {
 		t.Fatalf("folded %d sched events, want 1000", mb.SchedEventsFolded())
@@ -151,12 +152,44 @@ func TestModelBuilderCountsOutOfOrder(t *testing.T) {
 	requireSameModel(t, ExtractModel(&trace.Trace{Events: evs}), oracleExtractModel(tr))
 }
 
+// retainedState counts what the builder holds besides the model and the
+// resolved search answers (FindCaller's per-request answer and each
+// final FindClient answer, one small entry per service call).
+type retainedState struct {
+	open     int // Algorithm 2 windows open
+	held     int // events held for late-P1 replay
+	awaiting int // take_response records waiting for their PID's next P14
+	takes    int // take_response records of lookups not yet final
+	pending  int // client lookups not yet final
+	slots    int // diagnostic slots of pending lookups (hidden or shown)
+}
+
+func (b *ModelBuilder) retained() retainedState {
+	r := retainedState{open: len(b.open), held: b.eng.held, pending: len(b.eng.pending)}
+	for _, ps := range b.eng.pids {
+		r.awaiting += len(ps.awaiting)
+		if ps.mach != nil {
+			for _, slot := range ps.mach.diags {
+				if slot.pend != nil {
+					r.slots++
+				}
+			}
+		}
+	}
+	for _, l := range b.eng.clients {
+		r.takes += len(l.takes)
+	}
+	return r
+}
+
 // TestModelBuilderStateBounded checks the builder's memory contract:
-// once every callback window has closed, Finish leaves the closed-window
-// log and the engine's exec-time transfer map empty — including windows
-// of non-dispatched client instances, which no callback consumes — so
-// apart from the ROS buffer no builder state grows with the number of
-// callback instances observed.
+// once every callback window has closed and every response reached its
+// client, Finish leaves no open window, no held event, no take record,
+// and no pending lookup or diagnostic slot but the one response that
+// never reached its client — including for non-dispatched client
+// instances, whose windows no callback consumes — so no builder state
+// besides the model grows with the number of callback instances
+// observed.
 func TestModelBuilderStateBounded(t *testing.T) {
 	b := NewModelBuilder()
 	seq := uint64(0)
@@ -168,6 +201,18 @@ func TestModelBuilderStateBounded(t *testing.T) {
 	add(trace.Event{PID: 10, Kind: trace.KindCreateNode, Node: "caller"})
 	add(trace.Event{PID: 20, Kind: trace.KindCreateNode, Node: "server"})
 	add(trace.Event{PID: 30, Kind: trace.KindCreateNode, Node: "client"})
+	add(trace.Event{PID: 40, Kind: trace.KindCreateNode, Node: "owner"})
+	// One response reaches only a client it does not belong to: its
+	// lookup stays open, with no take record left, and its diagnostic
+	// stays shown.
+	add(trace.Event{Time: 1, PID: 20, Kind: trace.KindServiceCBStart})
+	add(trace.Event{Time: 1, PID: 20, Kind: trace.KindTakeRequest, CBID: 0xB, Topic: "sv", SrcTS: -2})
+	add(trace.Event{Time: 2, PID: 20, Kind: trace.KindDDSWrite, Topic: "rr/svReply", SrcTS: -1})
+	add(trace.Event{Time: 3, PID: 20, Kind: trace.KindServiceCBEnd})
+	add(trace.Event{Time: 4, PID: 30, Kind: trace.KindClientCBStart})
+	add(trace.Event{Time: 4, PID: 30, Kind: trace.KindTakeResponse, CBID: 0xC, Topic: "sv", SrcTS: -1})
+	add(trace.Event{Time: 5, PID: 30, Kind: trace.KindTakeTypeErased, Ret: 0})
+	add(trace.Event{Time: 5, PID: 30, Kind: trace.KindClientCBEnd})
 	for round := 1; round <= 4; round++ {
 		for i := 0; i < 50*round; i++ {
 			base := sim.Time(int(seq) * 100)
@@ -187,14 +232,83 @@ func TestModelBuilderStateBounded(t *testing.T) {
 			add(trace.Event{Time: base + 7, PID: 30, Kind: trace.KindTakeResponse, CBID: 0xC, Topic: "sv", SrcTS: ts + 5})
 			add(trace.Event{Time: base + 8, PID: 30, Kind: trace.KindTakeTypeErased, Ret: 0})
 			add(trace.Event{Time: base + 8, PID: 30, Kind: trace.KindClientCBEnd})
+			// ... and then the client it belongs to, which makes the
+			// lookup final: its take record and diagnostic slot go.
+			add(trace.Event{Time: base + 9, PID: 40, Kind: trace.KindClientCBStart})
+			add(trace.Event{Time: base + 9, PID: 40, Kind: trace.KindTakeResponse, CBID: 0xD, Topic: "sv", SrcTS: ts + 5})
+			add(trace.Event{Time: base + 10, PID: 40, Kind: trace.KindTakeTypeErased, Ret: 1})
+			add(trace.Event{Time: base + 11, PID: 40, Kind: trace.KindClientCBEnd})
 		}
 		m := b.Finish()
-		if len(m.Callbacks) != 2 || m.Callbacks[0].Stats.Count != 50*round*(round+1)/2 {
-			t.Fatalf("round %d: unexpected model %v", round, m.Callbacks)
+		if len(m.Callbacks) != 4 || m.Callbacks[0].Stats.Count != 50*round*(round+1)/2 || len(m.Diags) != 2 {
+			t.Fatalf("round %d: unexpected model %v, diagnostics %v", round, m.Callbacks, m.Diags)
 		}
-		if len(b.open) != 0 || len(b.etLog) != 0 || len(b.eng.et) != 0 {
-			t.Fatalf("round %d: %d open windows, %d logged windows, %d transfer entries after Finish; want 0",
-				round, len(b.open), len(b.etLog), len(b.eng.et))
+		if r, want := b.retained(), (retainedState{pending: 1, slots: 1}); r != want {
+			t.Fatalf("round %d: retained %+v after Finish; want %+v", round, r, want)
 		}
+	}
+}
+
+// TestModelBuilderReplayRule pins the late-P1 replay rule to the oracle
+// at every prefix: a sensor-like PID that only writes before a P1 names
+// it holds nothing back, and a PID named while one of its callback
+// instances is open holds that instance from its start and replays it.
+func TestModelBuilderReplayRule(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events []trace.Event
+		held   []int // BufferedROSEvents after each event
+	}{
+		{"sensor writes before its P1", []trace.Event{
+			{PID: 7, Kind: trace.KindCreateNode, Node: "server"},
+			{Time: 10, PID: 2, Kind: trace.KindDDSWrite, Topic: "/points", SrcTS: 10},
+			{Time: 11, PID: 2, Kind: trace.KindDDSWrite, Topic: "rq/svRequest", SrcTS: 11},
+			{Time: 12, PID: 7, Kind: trace.KindServiceCBStart},
+			{Time: 12, PID: 7, Kind: trace.KindTakeRequest, CBID: 0x71, Topic: "sv", SrcTS: 11},
+			{Time: 13, PID: 7, Kind: trace.KindServiceCBEnd},
+			{Time: 20, PID: 2, Kind: trace.KindCreateNode, Node: "sensor"},
+			{Time: 30, PID: 2, Kind: trace.KindTimerCBStart},
+			{Time: 30, PID: 2, Kind: trace.KindTimerCall, CBID: 0x21},
+			{Time: 31, PID: 2, Kind: trace.KindDDSWrite, Topic: "rq/svRequest", SrcTS: 31},
+			{Time: 32, PID: 2, Kind: trace.KindTimerCBEnd},
+			{Time: 33, PID: 7, Kind: trace.KindServiceCBStart},
+			{Time: 33, PID: 7, Kind: trace.KindTakeRequest, CBID: 0x71, Topic: "sv", SrcTS: 31},
+			{Time: 34, PID: 7, Kind: trace.KindServiceCBEnd},
+		}, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"P1 inside an open instance", []trace.Event{
+			{PID: 7, Kind: trace.KindCreateNode, Node: "server"},
+			{Time: 5, PID: 9, Kind: trace.KindDDSWrite, Topic: "/early", SrcTS: 5},
+			{Time: 10, PID: 7, Kind: trace.KindServiceCBStart},
+			{Time: 11, PID: 7, Kind: trace.KindDDSWrite, Topic: "rr/svReply", SrcTS: 11},
+			{Time: 12, PID: 7, Kind: trace.KindServiceCBEnd},
+			{Time: 20, PID: 9, Kind: trace.KindClientCBStart},
+			{Time: 21, Kind: trace.KindSchedSwitch, PrevPID: 9, NextPID: 1},
+			{Time: 21, PID: 9, Kind: trace.KindTakeResponse, CBID: 0x91, Topic: "sv", SrcTS: 11},
+			{Time: 25, Kind: trace.KindSchedSwitch, PrevPID: 1, NextPID: 9},
+			{Time: 26, PID: 9, Kind: trace.KindTakeTypeErased, Ret: 1},
+			{Time: 27, PID: 9, Kind: trace.KindCreateNode, Node: "client"},
+			{Time: 28, PID: 9, Kind: trace.KindDDSWrite, Topic: "/out", SrcTS: 28},
+			{Time: 29, PID: 9, Kind: trace.KindClientCBEnd},
+			{Time: 40, PID: 9, Kind: trace.KindClientCBStart},
+			{Time: 41, PID: 9, Kind: trace.KindClientCBEnd},
+		}, []int{0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 0, 0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &trace.Trace{}
+			b := NewModelBuilder()
+			for i, e := range tc.events {
+				e.Seq = uint64(i)
+				tr.Append(e)
+				b.Observe(e)
+				if got := b.BufferedROSEvents(); got != tc.held[i] {
+					t.Fatalf("after event %d: %d events held, want %d", i, got, tc.held[i])
+				}
+			}
+			cuts := make([]int, tr.Len())
+			for i := range cuts {
+				cuts[i] = i
+			}
+			requireOracleAtCuts(t, tr, cuts)
+		})
 	}
 }

@@ -145,4 +145,14 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	if v, ok := reg.Value("rostracer_synthesis_events_total", ""); !ok || v == 0 {
 		t.Fatalf("synthesis progress not exported: %v,%v", v, ok)
 	}
+	// Every traced PID with callbacks is named at start-up, so synthesis
+	// holds no event for replay; the series must exist all the same.
+	for _, name := range []string{"rostracer_synthesis_retained_events", "rostracer_synthesis_pending_lookups"} {
+		if _, ok := parsed.Samples[name]; !ok || parsed.Types[name] != "gauge" {
+			t.Fatalf("%s missing from the scrape or not a gauge\n%s", name, text)
+		}
+	}
+	if v := parsed.Samples["rostracer_synthesis_retained_events"]; v != 0 {
+		t.Fatalf("synthesis holds %v events for replay, want 0", v)
+	}
 }

@@ -49,7 +49,9 @@ type PipelineMetrics struct {
 	sinkDetached *Counter
 	sinksLive    *Gauge
 
-	synthesisEvents *Counter
+	synthesisEvents   *Counter
+	synthesisRetained *Gauge
+	synthesisPending  *Gauge
 
 	cpuLabels []string // cached "0", "1", ... strings
 }
@@ -83,7 +85,9 @@ func NewPipelineMetrics(r *Registry) *PipelineMetrics {
 		sinkDetached: r.Counter("rostracer_sink_detached_total", "Sinks detached from the drain fan-out after a sticky error."),
 		sinksLive:    r.Gauge("rostracer_sinks_live", "Sinks currently attached to the drain fan-out."),
 
-		synthesisEvents: r.Counter("rostracer_synthesis_events_total", "Events folded into the incremental timing-model synthesis."),
+		synthesisEvents:   r.Counter("rostracer_synthesis_events_total", "Events folded into the incremental timing-model synthesis."),
+		synthesisRetained: r.Gauge("rostracer_synthesis_retained_events", "ROS events synthesis holds for replay until a P1 event names their PID."),
+		synthesisPending:  r.Gauge("rostracer_synthesis_pending_lookups", "Client lookups synthesis keeps open: responses whose dispatched client later events may change."),
 	}
 }
 
@@ -155,7 +159,11 @@ func (p *PipelineMetrics) UpdateSinks(m *trace.IsolatingMultiSink) {
 	p.sinksLive.Set(int64(m.Live()))
 }
 
-// UpdateSynthesis snapshots the incremental model builder's progress.
+// UpdateSynthesis snapshots the incremental model builder's progress
+// and the state it retains besides the model.
 func (p *PipelineMetrics) UpdateSynthesis(s *core.SnapshotService) {
 	p.synthesisEvents.Set(s.EventsObserved())
+	events, lookups := s.Retained()
+	p.synthesisRetained.Set(int64(events))
+	p.synthesisPending.Set(int64(lookups))
 }
